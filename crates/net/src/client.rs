@@ -17,7 +17,7 @@
 //! resumed sample stream is byte-identical to an unbroken run. An
 //! admission-control [`Message::Retry`] (the server shedding load)
 //! surfaces as [`PianoError::Overloaded`] and is retried after the
-//! server's hint plus backoff.
+//! longer of the server's hint and the jittered backoff.
 
 use std::io;
 use std::time::{Duration, Instant};
@@ -602,10 +602,11 @@ pub struct ResilientFeed<T: Transport, D: FnMut() -> io::Result<T>> {
 impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
     /// Dials and performs the [`FeedHandle::connect`] handshake,
     /// absorbing shed responses ([`PianoError::Overloaded`] — wait out
-    /// the server's hint, clamped to [`RetryPolicy::max_delay`], then
-    /// re-dial) and transport failures (jittered exponential backoff) up
-    /// to [`RetryPolicy::max_attempts`]. Every failed attempt sleeps
-    /// exactly once, and every slept interval is visible in
+    /// the longer of the server's hint and the jittered exponential
+    /// backoff, clamped to [`RetryPolicy::max_delay`], then re-dial) and
+    /// transport failures (jittered exponential backoff) up to
+    /// [`RetryPolicy::max_attempts`]. Every failed attempt sleeps exactly
+    /// once, and every slept interval is visible in
     /// [`FeedStats::backoff_total`].
     pub fn connect(
         mut dial: D,
@@ -631,11 +632,13 @@ impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
                 },
                 Err(e) => e,
             };
-            // Exactly one sleep per failed attempt: a shed response waits
-            // out the server's hint (clamped to the policy ceiling, so a
-            // hostile or misconfigured hint cannot stall the client past
-            // its own worst-case delay), any other retryable failure
-            // waits the jittered exponential backoff.
+            // Exactly one sleep per failed attempt: the jittered
+            // exponential backoff, which a shed response raises to the
+            // server's hint (clamped to the policy ceiling, so a hostile
+            // or misconfigured hint cannot stall the client past its own
+            // worst-case delay). A repeatedly shed client thus backs off
+            // like any other, instead of hammering a full server at the
+            // hint's fixed pace.
             let shed_hint = match &fail {
                 PianoError::Overloaded { retry_after_ms } => {
                     stats.sheds_seen += 1;
@@ -647,7 +650,8 @@ impl<T: Transport, D: FnMut() -> io::Result<T>> ResilientFeed<T, D> {
             if attempt >= policy.max_attempts {
                 return Err(fail);
             }
-            let delay = shed_hint.unwrap_or_else(|| policy.backoff(&mut rng, attempt));
+            let backoff = policy.backoff(&mut rng, attempt);
+            let delay = shed_hint.map_or(backoff, |hint| hint.max(backoff));
             stats.retries += 1;
             stats.backoff_total += delay;
             std::thread::sleep(delay);

@@ -18,7 +18,6 @@
 //!   latency chaos alone (no cuts) never changes decisions.
 
 use std::io;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -283,34 +282,25 @@ fn overload_shedding_is_typed_and_recoverable() {
         other => panic!("expected Overloaded, got {other:?}"),
     }
 
-    // Retrying clients are admitted once the pair reports and frees its
-    // slots. A shed attempt sleeps once (the 10 ms hint), so 50 attempts
-    // budget about 0.5 s — down from >= 11.6 s when a shed also slept a
-    // jittered backoff, and no longer than the pair takes to stream and
-    // report. So each retrier's redial is gated on the pair's reports
-    // instead of racing them: its first attempt is shed (both slots
-    // full), its second signals the host and blocks on a gate that the
-    // host opens once the pair has reported.
-    let (shed_tx, shed_rx) = mpsc::channel();
-    let mut gates = Vec::with_capacity(FEEDS - 2);
-    let mut clients = Vec::with_capacity(FEEDS);
+    // Stream the admitted pair; retrying clients are admitted as slots
+    // free up at report time.
+    let mut clients: Vec<_> = [first, second]
+        .into_iter()
+        .map(|mut feed| {
+            let config = config.clone();
+            std::thread::spawn(move || {
+                let rec = feed_recording(feed.challenge(), &config);
+                feed.send_recording(&rec, 1_024, 4).unwrap();
+                feed.finish().unwrap();
+                feed.await_decision().unwrap()
+            })
+        })
+        .collect();
     for i in 0..FEEDS - 2 {
         let connector = connector.clone();
         let config = config.clone();
-        let shed_tx = shed_tx.clone();
-        let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        gates.push(gate_tx);
         clients.push(std::thread::spawn(move || {
-            let mut dials = 0u32;
-            let dial = move || {
-                dials += 1;
-                if dials == 2 {
-                    let _ = shed_tx.send(());
-                    // The host opens the gate by dropping its sender.
-                    let _ = gate_rx.recv();
-                }
-                connector.connect()
-            };
+            let dial = move || connector.connect();
             let mut feed = ResilientFeed::connect(
                 dial,
                 &[WireCodec::I16Delta],
@@ -327,26 +317,6 @@ fn overload_shedding_is_typed_and_recoverable() {
             feed.finish_and_await(Duration::from_secs(60)).unwrap()
         }));
     }
-    for _ in 0..FEEDS - 2 {
-        shed_rx
-            .recv_timeout(Duration::from_secs(60))
-            .expect("each retrier shed while the pair holds both slots");
-    }
-
-    // Stream the admitted pair, then open the gates once it has reported.
-    clients.extend([first, second].into_iter().map(|mut feed| {
-        let config = config.clone();
-        std::thread::spawn(move || {
-            let rec = feed_recording(feed.challenge(), &config);
-            feed.send_recording(&rec, 1_024, 4).unwrap();
-            feed.finish().unwrap();
-            feed.await_decision().unwrap()
-        })
-    }));
-    server
-        .wait_for_reports_timeout(2, Duration::from_secs(60))
-        .expect("the admitted pair reported");
-    drop(gates);
 
     assert_eq!(
         server

@@ -5,8 +5,10 @@
 //!   sleep the server's `Retry` hint *and then* the jittered backoff on
 //!   the same failed attempt — and honored the hint uncapped, so a
 //!   hostile or misconfigured server could stall a client for an hour.
-//!   Every failed attempt now sleeps exactly once, and a shed hint is
-//!   clamped to [`RetryPolicy::max_delay`]. `FeedStats::backoff_total`
+//!   Every failed attempt now sleeps exactly once — for a shed, the
+//!   longer of the hint and the jittered backoff, so repeated sheds
+//!   still back off — and a shed hint is clamped to
+//!   [`RetryPolicy::max_delay`]. `FeedStats::backoff_total`
 //!   records every slept interval, which is what makes the "exactly
 //!   once" property assertable.
 //! * **Server resume-attach busy-poll:** a `Resume` probe racing the
@@ -115,6 +117,44 @@ fn shed_sleeps_once_with_the_hint_clamped() {
         Duration::from_millis(200),
         "exactly one sleep, exactly the clamped hint"
     );
+}
+
+#[test]
+fn repeated_sheds_back_off_past_a_short_hint() {
+    // Four scripted sheds with a 1 ms hint, then a real server. Each shed
+    // attempt still sleeps once, but for the longer of the hint and the
+    // jittered exponential backoff: 8·j + 16·j + 32·j + 64·j ms with
+    // j ∈ [0.5, 1.0). Sleeping the bare hint would total 4 ms, so a
+    // client shed by a full server would exhaust its attempts at the
+    // hint's fixed pace instead of backing off.
+    let server = server_with(|_| {});
+    let (connector, listener) = memory_hub();
+    spawn_accept_loop(&server, listener);
+
+    let (mut scripted, peers): (Vec<_>, Vec<_>) = (0..4).map(|_| shed_transport(1)).unzip();
+    let dial = move || -> io::Result<MemoryStream> {
+        match scripted.pop() {
+            Some(t) => Ok(t),
+            None => connector.connect(),
+        }
+    };
+    let policy = RetryPolicy {
+        max_attempts: 5,
+        base_delay: Duration::from_millis(8),
+        max_delay: Duration::from_secs(1),
+        jitter_seed: SEED + 2,
+    };
+    let feed = ResilientFeed::connect(dial, &[WireCodec::Raw], policy).expect("admitted");
+    let stats = feed.stats();
+    assert_eq!(stats.sheds_seen, 4, "four sheds absorbed");
+    assert_eq!(stats.retries, 4, "one retry per failed attempt");
+    assert!(
+        stats.backoff_total >= Duration::from_millis(60)
+            && stats.backoff_total < Duration::from_millis(120),
+        "backoff_total {:?} outside the exponential-backoff bounds",
+        stats.backoff_total
+    );
+    drop(peers);
 }
 
 #[test]
