@@ -462,50 +462,50 @@ struct NetIngest {
     /// Pre-codec (raw-equivalent) audio bytes ingested per second.
     raw_bytes_per_s: f64,
     all_granted: bool,
-    /// Wall-clock of the same fleet through the readiness reactor.
-    reactor_elapsed_s: f64,
     /// Measured peak resident bytes per reactor connection (state +
     /// frame-reader buffer + peak sample backlog).
     per_conn_bytes_reactor: u64,
-    /// The thread-per-connection model's cost for the same connection:
-    /// identical state plus what each serving thread adds privately.
+    /// A thread-per-connection model's cost for the same connection
+    /// (arithmetic): identical state plus what each serving thread would
+    /// add privately.
     per_conn_bytes_threaded: u64,
     /// Connections fitting in 1 GiB under each model, and the ratio —
     /// the headline the reactor exists for.
     conn_ceiling_reactor: u64,
     conn_ceiling_threaded: u64,
     conn_ceiling_ratio: f64,
-    reactor_all_granted: bool,
 }
 
-/// Streams `feeds` voucher recordings through a `piano-net` `ServerLoop`
-/// over the in-memory transport with the i16-delta codec, scans the hub
-/// once for every session, and reports wire throughput + compression
+/// Streams `feeds` voucher recordings through the `piano-net`
+/// `ReactorServer` over the in-memory transport with the i16-delta
+/// codec, scans the hub once for every session, and reports wire
+/// throughput, compression, and the per-connection memory model
 /// (mirrors `examples/fleet_ingest.rs` at bench scale).
 fn measure_net_ingest(feeds: usize) -> NetIngest {
     use piano_core::piano::{AuthDecision, PianoConfig};
-    use piano_core::stream::AuthService;
+    use piano_core::stream::ShardedAuthService;
     use piano_core::wire::WireCodec;
-    use piano_net::fixtures::{feed_recording, hub_recording};
+    use piano_net::fixtures::{feed_recording, hub_recording_reactor};
     use piano_net::transport::{memory_hub, Listener};
-    use piano_net::{FeedHandle, ServerConfig, ServerLoop};
+    use piano_net::{FeedHandle, ReactorServer, ServerConfig};
 
-    let server = ServerLoop::new(
-        AuthService::new(PianoConfig::with_threshold(1.0)),
+    let server = ReactorServer::new(
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(0xF1EE7),
         ServerConfig::default(),
     );
-    let action = { server.with_service(|s| s.config().action.clone()) };
+    let action = server
+        .service()
+        .with_default(|s| s.config().action.clone())
+        .expect("shard 0 exists");
+    let loop_thread = server.start();
     let (connector, mut listener) = memory_hub();
 
     let start = std::time::Instant::now();
     let mut handles = Vec::with_capacity(feeds);
-    let mut server_threads = Vec::with_capacity(feeds);
     for _ in 0..feeds {
         let transport = connector.connect().expect("hub open");
-        let conn = listener.accept_conn().expect("accept");
-        let server_clone = server.clone();
-        server_threads.push(std::thread::spawn(move || server_clone.serve(conn)));
+        server.register(listener.accept_conn().expect("accept"));
         handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).expect("handshake"));
     }
     let clients: Vec<_> = handles
@@ -521,68 +521,20 @@ fn measure_net_ingest(feeds: usize) -> NetIngest {
         })
         .collect();
     server.wait_for_reports(feeds);
-    let hub = hub_recording(&server);
-    server.scan_and_decide(&hub, 16_384);
+    let hub = hub_recording_reactor(&server);
+    server.scan_and_decide_arc(hub.into(), 16_384);
     let all_granted = clients
         .into_iter()
         .all(|t| matches!(t.join().expect("client"), AuthDecision::Granted { .. }));
-    for t in server_threads {
-        let _ = t.join().expect("server thread");
-    }
     let elapsed_s = start.elapsed().as_secs_f64();
+    server.shutdown();
+    loop_thread.join().expect("reactor thread");
     let stats = server.stats();
+    let per_conn_bytes_reactor = server.peak_conn_bytes().max(1);
 
-    // The same fleet through the readiness reactor: one event-loop
-    // thread, connection cost measured in bytes of state instead of an
-    // OS thread.
-    let (reactor_elapsed_s, per_conn_bytes_reactor, reactor_all_granted) = {
-        use piano_core::stream::ShardedAuthService;
-        use piano_net::fixtures::hub_recording_reactor;
-        use piano_net::ReactorServer;
-
-        let reactor = ReactorServer::new(
-            ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
-            ChaCha8Rng::seed_from_u64(0xF1EE7),
-            ServerConfig::default(),
-        );
-        let loop_thread = reactor.start();
-        let (connector, mut listener) = memory_hub();
-        let start = std::time::Instant::now();
-        let mut handles = Vec::with_capacity(feeds);
-        for _ in 0..feeds {
-            let transport = connector.connect().expect("hub open");
-            let conn = listener.accept_conn().expect("accept");
-            reactor.register(conn);
-            handles
-                .push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).expect("handshake"));
-        }
-        let clients: Vec<_> = handles
-            .into_iter()
-            .map(|mut feed| {
-                let action = action.clone();
-                std::thread::spawn(move || {
-                    let rec = feed_recording(feed.challenge(), &action);
-                    feed.send_recording(&rec, 1_024, 4).expect("stream");
-                    feed.finish().expect("stream end");
-                    feed.await_decision().expect("verdict")
-                })
-            })
-            .collect();
-        reactor.wait_for_reports(feeds);
-        let hub = hub_recording_reactor(&reactor);
-        reactor.scan_and_decide_arc(hub.into(), 16_384);
-        let granted = clients
-            .into_iter()
-            .all(|t| matches!(t.join().expect("client"), AuthDecision::Granted { .. }));
-        let elapsed = start.elapsed().as_secs_f64();
-        reactor.shutdown();
-        loop_thread.join().expect("reactor thread");
-        (elapsed, reactor.peak_conn_bytes().max(1), granted)
-    };
-
-    // What the thread model spends on the same connection: the identical
-    // protocol state, plus a private 64 KiB read buffer and the 2 MiB
-    // default thread stack each `serve` thread brings.
+    // What a thread-per-connection model would spend on the same
+    // connection: the identical protocol state, plus a private 64 KiB
+    // read buffer and the 2 MiB default stack of its serving thread.
     const THREAD_STACK_BYTES: u64 = 2 * 1024 * 1024;
     const PRIVATE_READ_BUF_BYTES: u64 = 64 * 1024;
     let per_conn_bytes_threaded =
@@ -600,13 +552,11 @@ fn measure_net_ingest(feeds: usize) -> NetIngest {
         wire_bytes_per_s: stats.wire_audio_bytes as f64 / elapsed_s,
         raw_bytes_per_s: stats.raw_audio_bytes as f64 / elapsed_s,
         all_granted,
-        reactor_elapsed_s,
         per_conn_bytes_reactor,
         per_conn_bytes_threaded,
         conn_ceiling_reactor,
         conn_ceiling_threaded,
         conn_ceiling_ratio: conn_ceiling_reactor as f64 / conn_ceiling_threaded as f64,
-        reactor_all_granted,
     }
 }
 
@@ -632,35 +582,36 @@ struct FaultRecovery {
 /// recovery cost and that decisions still all landed.
 fn measure_fault_recovery(feeds: usize) -> FaultRecovery {
     use piano_core::piano::{AuthDecision, PianoConfig};
-    use piano_core::stream::AuthService;
+    use piano_core::stream::ShardedAuthService;
     use piano_core::wire::WireCodec;
-    use piano_net::fixtures::{feed_recording, hub_recording};
+    use piano_net::fixtures::{feed_recording, hub_recording_reactor};
     use piano_net::transport::{memory_hub, Listener, MemoryStream};
     use piano_net::{
-        FaultPlan, FaultyTransport, FeedHandle, ResilientFeed, RetryPolicy, ServerConfig,
-        ServerLoop,
+        FaultPlan, FaultyTransport, FeedHandle, ReactorServer, ResilientFeed, RetryPolicy,
+        ServerConfig,
     };
     use std::time::Duration;
 
     const SEED: u64 = 0xFA17;
-    let server = ServerLoop::new(
-        AuthService::new(PianoConfig::with_threshold(1.0)),
+    let server = ReactorServer::new(
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(0xF1EE7),
         ServerConfig {
             resume_window: Duration::from_secs(10),
             ..ServerConfig::default()
         },
     );
-    let action = server.with_service(|s| s.config().action.clone());
+    let action = server
+        .service()
+        .with_default(|s| s.config().action.clone())
+        .expect("shard 0 exists");
+    let loop_thread = server.start();
     let (connector, mut listener) = memory_hub();
     {
         let server = server.clone();
         std::thread::spawn(move || {
             while let Ok(conn) = listener.accept_conn() {
-                let s = server.clone();
-                std::thread::spawn(move || {
-                    let _ = s.serve(conn);
-                });
+                server.register(conn);
             }
         });
     }
@@ -711,8 +662,8 @@ fn measure_fault_recovery(feeds: usize) -> FaultRecovery {
     server
         .wait_for_reports_timeout(feeds, Duration::from_secs(60))
         .expect("reports despite faults");
-    let hub = hub_recording(&server);
-    server.scan_and_decide(&hub, 16_384);
+    let hub = hub_recording_reactor(&server);
+    server.scan_and_decide_arc(hub.into(), 16_384);
     let mut all_granted = true;
     let (mut retries, mut resumes, mut backoff) = (0u64, 0u64, Duration::ZERO);
     for t in clients {
@@ -723,6 +674,8 @@ fn measure_fault_recovery(feeds: usize) -> FaultRecovery {
         backoff += s.backoff_total;
     }
     let elapsed_s = start.elapsed().as_secs_f64();
+    server.shutdown();
+    loop_thread.join().expect("reactor thread");
     FaultRecovery {
         feeds,
         cut_feeds: feeds.div_ceil(2),
@@ -1052,13 +1005,11 @@ fn export_summary(
                  \"raw_audio_bytes\": {}, \"compression_ratio\": {:.3}, \
                  \"elapsed_s\": {:.4}, \"wire_bytes_per_s\": {:.0}, \
                  \"raw_bytes_per_s\": {:.0}, \"all_granted\": {}, \
-                 \"reactor_elapsed_s\": {:.4}, \
                  \"per_conn_bytes_reactor\": {}, \
                  \"per_conn_bytes_threaded\": {}, \
                  \"conn_ceiling_reactor\": {}, \
                  \"conn_ceiling_threaded\": {}, \
-                 \"conn_ceiling_ratio\": {:.2}, \
-                 \"reactor_all_granted\": {}}},\n  \
+                 \"conn_ceiling_ratio\": {:.2}}},\n  \
                  \"fault_recovery\": {{\"feeds\": {}, \"cut_feeds\": {}, \
                  \"resumes\": {}, \"client_retries\": {}, \
                  \"resume_latency_ms\": {:.3}, \"elapsed_s\": {:.4}, \
@@ -1089,13 +1040,11 @@ fn export_summary(
                 net.wire_bytes_per_s,
                 net.raw_bytes_per_s,
                 net.all_granted,
-                net.reactor_elapsed_s,
                 net.per_conn_bytes_reactor,
                 net.per_conn_bytes_threaded,
                 net.conn_ceiling_reactor,
                 net.conn_ceiling_threaded,
                 net.conn_ceiling_ratio,
-                net.reactor_all_granted,
                 fault.feeds,
                 fault.cut_feeds,
                 fault.resumes,

@@ -2,10 +2,8 @@
 //!
 //! The paper's conclusion (Sec. VII) sketches continuous authentication:
 //! a granted session should stay granted only while proximity keeps
-//! holding. [`crate::continuous`] implements that policy loop for one
-//! host — an EDF priority queue popping one session at a time, each
-//! recheck a full per-session protocol round. This module is the fleet
-//! dimension of the same idea, built from three pieces:
+//! holding. This module implements that policy loop at fleet scale,
+//! built from three pieces:
 //!
 //! * [`TickWheel`] — a hierarchical timer wheel over abstract `u64`
 //!   ticks. [`WHEEL_LEVELS`] cascading levels of [`WHEEL_SLOTS`] slots
@@ -38,7 +36,7 @@
 //!   decision-determinism lint scope and must replay bit-exactly.
 //!
 //! Wire-level re-challenge (`Message::Recheck` and friends) lives in
-//! `crates/net`: the servers re-verify standing *remote* feeds over
+//! `crates/net`: the gateway re-verifies standing *remote* feeds over
 //! their live connections using the same scan-epoch shape this module
 //! drives for in-process sessions.
 
@@ -426,8 +424,7 @@ impl RiskPolicy {
     }
 }
 
-/// State of a standing session (mirrors
-/// [`crate::continuous::SessionState`] for the fleet registry).
+/// State of a standing session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StandingState {
     /// Proximity keeps holding; access remains granted.
@@ -1343,6 +1340,15 @@ mod tests {
             },
         ] {
             assert!(bad.validate().is_err(), "{bad:?} must be rejected");
+            // The registry refuses to open a session under it (a zero
+            // denial budget or a never-due period would otherwise reach
+            // the wheel).
+            let mut c = Continuum::new(1.0).expect("tick");
+            assert!(
+                matches!(c.open(bad, 0, 0.0), Err(PianoError::InvalidConfig(_))),
+                "{bad:?} must not open"
+            );
+            assert!(c.is_empty());
         }
     }
 
@@ -1385,6 +1391,20 @@ mod tests {
             c.remove(gone).is_err(),
             "double remove must be a typed error"
         );
+
+        // Within a group, members come out earliest deadline first, ties
+        // in open order.
+        let mut c = Continuum::new(1.0).expect("tick");
+        let late = c.open(quiet_policy(30.0), 0, 0.0).expect("open");
+        let early = c.open(quiet_policy(10.0), 0, 0.0).expect("open");
+        let tied = c.open(quiet_policy(10.0), 0, 0.0).expect("open");
+        assert_eq!(
+            c.due(31.0),
+            vec![DueBatch {
+                group: 0,
+                members: vec![early, tied, late]
+            }]
+        );
     }
 
     #[test]
@@ -1398,12 +1418,21 @@ mod tests {
         // Strong grant doubles it back.
         c.apply_outcome(k, &granted(0.3), 1.0, 96.0).expect("apply");
         assert_eq!(c.session(k).expect("live").period_s(), 64.0);
-        // Two denials lock (default denials_to_lock = 2).
-        c.apply_outcome(k, &denied(), 1.0, 160.0).expect("apply");
+        // One denial does not lock, and a grant resets the streak.
+        let s = c.apply_outcome(k, &denied(), 1.0, 128.0).expect("apply");
+        assert_eq!(s, StandingState::Active, "one denial never locks");
+        c.apply_outcome(k, &granted(0.5), 1.0, 136.0)
+            .expect("apply");
+        // Two consecutive denials lock (default denials_to_lock = 2).
+        let s = c.apply_outcome(k, &denied(), 1.0, 160.0).expect("apply");
+        assert_eq!(s, StandingState::Active, "the grant reset the streak");
         assert_eq!(c.session(k).expect("live").period_s(), 8.0, "denial floors");
         let s = c.apply_outcome(k, &denied(), 1.0, 168.0).expect("apply");
         assert_eq!(s, StandingState::Locked);
         assert_eq!(c.standing(), 0);
+        // Retired, but still owned and queryable.
+        assert_eq!(c.len(), 1);
+        assert_eq!(c.session(k).expect("kept").state(), StandingState::Locked);
         assert!(
             c.apply_outcome(k, &granted(0.5), 1.0, 170.0).is_err(),
             "locked sessions take no further outcomes"

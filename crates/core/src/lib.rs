@@ -56,18 +56,17 @@
 //!   feeds, and the **i16 delta PCM codec**
 //!   ([`wire::Message::AudioBatchI16`], negotiated per connection via
 //!   [`wire::WireCodec`]) cuts wire bytes ≈4–5× with exact quantized
-//!   round-trip; [`continuous::ContinuousScheduler`] re-verifies fleets
-//!   of continuous sessions earliest-deadline-first, and [`continuum`]
-//!   scales that to millions of standing sessions: a hierarchical timer
-//!   wheel with O(1) arm/cancel/advance, batched group re-checks through
-//!   one shared coarse pass, and deterministic risk-adaptive periods.
-//!   The `piano-net` crate binds this wire layer to real byte streams
-//!   (in-memory duplex + loopback TCP server loop) and re-challenges
-//!   standing feeds over their live connections.
+//!   round-trip; [`continuum`] re-verifies millions of standing
+//!   sessions: a hierarchical timer wheel with O(1) arm/cancel/advance,
+//!   batched group re-checks through one shared coarse pass, and
+//!   deterministic risk-adaptive periods. The `piano-net` crate binds
+//!   this wire layer to real byte streams (in-memory duplex + loopback
+//!   TCP, served by one readiness reactor) and re-challenges standing
+//!   feeds over their live connections.
 //! * [`piano::PianoAuthenticator`] builds its detector once and reuses it
-//!   for every attempt (and every continuous-session recheck), amortizing
-//!   plan construction; [`action::run_action_with`] exposes the same reuse
-//!   to custom protocol drivers.
+//!   for every attempt, amortizing plan construction;
+//!   [`action::run_action_with`] exposes the same reuse to custom
+//!   protocol drivers.
 //!
 //! # Quickstart
 //!
@@ -98,7 +97,6 @@
 
 pub mod action;
 pub mod config;
-pub mod continuous;
 pub mod continuum;
 pub mod detect;
 pub mod device;

@@ -13,7 +13,6 @@
 
 use rand_chacha::ChaCha8Rng;
 
-use piano_acoustics::AcousticField;
 use piano_bluetooth::{BluetoothLink, LinkKey};
 
 use crate::action::ActionOutcome;
@@ -98,8 +97,9 @@ impl AuthDecision {
 ///
 /// Since the streaming redesign this is a thin compatibility wrapper over
 /// the multi-tenant [`AuthService`]: it keeps the familiar one-pair
-/// surface (register, authenticate, personalize the threshold) while the
-/// protocol itself runs through the sans-IO [`crate::stream::AuthSession`]
+/// surface (register, personalize the threshold) while attempts run
+/// through [`AuthService::authenticate_pair`] on
+/// [`as_service_mut`](Self::as_service_mut) and the protocol itself runs through the sans-IO [`crate::stream::AuthSession`]
 /// state machines. New code should use [`AuthService`] directly — it
 /// multiplexes many pairs, shares detectors across configurations, and
 /// exposes the streaming entry points.
@@ -161,33 +161,12 @@ impl PianoAuthenticator {
     pub fn as_service_mut(&mut self) -> &mut AuthService {
         &mut self.service
     }
-
-    /// Authentication phase: decides whether whoever is at the
-    /// authenticating device right now gets access.
-    ///
-    /// `now_world_s` is the world time of the attempt; interferers or
-    /// attackers must already have registered their emissions on `field`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use stream::AuthService::authenticate_pair (this shim delegates to it verbatim)"
-    )]
-    pub fn authenticate(
-        &mut self,
-        field: &mut AcousticField,
-        auth_device: &Device,
-        vouch_device: &Device,
-        now_world_s: f64,
-        rng: &mut ChaCha8Rng,
-    ) -> AuthDecision {
-        self.service
-            .authenticate_pair(field, auth_device, vouch_device, now_world_s, rng)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use piano_acoustics::{Environment, Position};
+    use piano_acoustics::{AcousticField, Environment, Position};
     use rand::SeedableRng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
@@ -323,18 +302,19 @@ mod tests {
         );
     }
 
-    /// The deprecated wrapper must keep producing the service's exact
-    /// decisions until every caller migrates.
+    /// The wrapper's registration and diagnostics delegate to its
+    /// service: an attempt through it decides exactly like a bare one.
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_authenticate_shim_matches_service() {
+    fn wrapper_decides_like_a_bare_service() {
         let (a, v) = devices(0.5);
 
         let mut shim = PianoAuthenticator::new(PianoConfig::default());
         let mut r = rng(9);
         shim.register(&a, &v, &mut r);
         let mut field = AcousticField::new(Environment::office(), 9);
-        let shim_decision = shim.authenticate(&mut field, &a, &v, 0.0, &mut r);
+        let shim_decision = shim
+            .as_service_mut()
+            .authenticate_pair(&mut field, &a, &v, 0.0, &mut r);
 
         let mut service = AuthService::new(PianoConfig::default());
         let mut r = rng(9);
@@ -345,6 +325,6 @@ mod tests {
         assert_eq!(shim_decision, service_decision);
         assert!(shim_decision.is_granted());
         assert_eq!(shim.last_outcome(), service.last_outcome());
-        assert!(shim.as_service_mut().last_outcome().is_some());
+        assert!(shim.last_outcome().is_some());
     }
 }

@@ -4,7 +4,7 @@
 //! The paper's protocol is inherently incremental — device B records
 //! *while* A emits the signal, and Algorithm 1 can conclude as soon as the
 //! scan covers the signal's location — yet the classic entry points
-//! ([`crate::detect::Detector::detect`], `PianoAuthenticator::authenticate`)
+//! ([`crate::detect::Detector::detect`], [`crate::action::run_action`])
 //! force callers to buffer the full ~2 s recording first. This module
 //! redesigns the surface around three layers:
 //!
@@ -39,8 +39,8 @@
 //!   into a single group [`StreamingDetector`], generalizing the
 //!   single-pass `detect_many` trick across tenants. The service also
 //!   hosts the whole-protocol convenience driver
-//!   ([`AuthService::authenticate_pair`]) that `PianoAuthenticator` now
-//!   shims to.
+//!   ([`AuthService::authenticate_pair`]) that `PianoAuthenticator`
+//!   wraps.
 //! * [`ScanDriver`] — the thread-pool scan driver. Each audio tick's
 //!   newly covered coarse windows are an embarrassingly parallel batch;
 //!   the driver shards them across a configurable pool of
@@ -60,13 +60,12 @@
 //! stream, and `IngestFeed` meters each feed against a buffered-sample
 //! high-water mark with `Busy`/`Credit` replies. The `piano-net` crate
 //! binds all of it to real byte streams (in-memory duplex, loopback
-//! TCP): its `ServerLoop` runs one reader/feed/voucher per connection
-//! into one shared [`AuthService`] and fills a [`ServiceStats`] snapshot
+//! TCP): its `ReactorServer` runs one reader/feed/voucher per connection
+//! into one [`ShardedAuthService`] and fills a [`ServiceStats`] snapshot
 //! — `examples/fleet_ingest.rs` drives hundreds of concurrent feeds
 //! through the full stack as real endpoints. Continuous re-verification
-//! at fleet scale is scheduled by
-//! [`crate::continuous::ContinuousScheduler`], a priority queue on
-//! `next_check_s` over one shared service.
+//! at fleet scale is scheduled by [`crate::continuum::Continuum`], a
+//! hierarchical timer wheel over one shared service.
 //!
 //! # Why sans-IO?
 //!
@@ -1599,7 +1598,7 @@ impl std::fmt::Display for DropCounts {
 /// operator watches to size a fleet deployment.
 ///
 /// The streaming stack is sans-IO, so no single layer sees every number:
-/// the transport loop (the `piano-net` crate's `ServerLoop`) counts
+/// the gateway (the `piano-net` crate's `ReactorServer`) counts
 /// connections, frames, and wire bytes; [`crate::wire::IngestFeed`]s
 /// report backlog peaks and `Busy`/`Credit` traffic; the [`AuthService`]
 /// knows how many sessions decided. Layers fill in what they observe and
@@ -1612,7 +1611,7 @@ pub struct ServiceStats {
     /// Connections dropped for framing/protocol violations (only the
     /// offending connection is dropped; the service keeps running).
     pub connections_dropped: u64,
-    /// Wire frames decoded (audio frames only).
+    /// Wire frames decoded (audio frames only, re-check audio included).
     pub frames_decoded: u64,
     /// Audio bytes as they crossed the wire (post-codec, frame prefixes
     /// included).
@@ -1730,7 +1729,7 @@ struct ScanGroup {
 ///   runs a complete attempt between two simulated devices (registration
 ///   gates, ACTION over the Bluetooth link, threshold decision), reusing
 ///   one cached [`Detector`] per [`ActionConfig`] across every attempt and
-///   every pair. `PianoAuthenticator` is now a single-pair shim over this.
+///   every pair. `PianoAuthenticator` is a single-pair wrapper over this.
 /// * **Streaming multiplexer** — [`open_session`](Self::open_session) +
 ///   [`push_audio`](Self::push_audio) /
 ///   [`finish_audio`](Self::finish_audio) drive many sans-IO
@@ -1866,10 +1865,6 @@ impl AuthService {
     /// devices: the Bluetooth presence gates, the full ACTION exchange
     /// driven through a pair of [`AuthSession`]s, and the threshold
     /// decision.
-    ///
-    /// Behavior (gates, RNG order, wire traffic, decisions) is identical
-    /// to the classic `PianoAuthenticator::authenticate`, which now
-    /// delegates here.
     pub fn authenticate_pair(
         &mut self,
         field: &mut AcousticField,
@@ -2530,7 +2525,14 @@ mod tests {
         let mut out = Vec::new();
         let start = ring.capture_into(5_000, ring.base + 3, &mut out);
         assert_eq!(start, ring.base, "start clamps up to the ring base");
-        assert_eq!(out, vec![ring.base as f64, ring.base as f64 + 1.0, ring.base as f64 + 2.0]);
+        assert_eq!(
+            out,
+            vec![
+                ring.base as f64,
+                ring.base as f64 + 1.0,
+                ring.base as f64 + 2.0
+            ]
+        );
 
         // The right edge clamps down to the stream frontier.
         out.clear();

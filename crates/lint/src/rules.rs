@@ -20,24 +20,24 @@ pub const WIRE_ROOTS: &[(&str, &str)] = &[
     ("Message", "decode"),
     ("AuthSession", "handle_message"),
     ("FrameReader", "next_frame"),
-    ("ServerLoop", "serve"),
     ("ReactorServer", "run"),
     // Re-challenge surface: the client parses `Recheck`/`RecheckVerdict`
     // frames a (possibly hostile) gateway sends; the server halves are
-    // already reachable from `serve`/`run`.
+    // already reachable from `run`.
     ("FeedHandle", "await_recheck"),
     ("FeedHandle", "answer_recheck"),
     ("FeedHandle", "await_recheck_verdict"),
 ];
 
-/// The documented server lock order (see `crates/net/src/server.rs`):
-/// lower rank first; equal or higher rank while held is an inversion.
+/// The gateway's lock order — the ranks its `OrderedMutex`es carry at
+/// runtime (`mod rank` in `crates/net/src/reactor.rs`): lower rank first;
+/// equal or higher rank while held is an inversion.
 const LOCK_RANKS: &[(&str, u32)] = &[
     ("progress", 10),
-    ("service", 20),
-    ("rng", 30),
-    ("suspended", 40),
+    ("rng", 12),
+    ("inbox", 40),
     ("ids", 50),
+    ("core", 60),
 ];
 
 /// Blocking transport calls that must never run under a server lock.
@@ -73,7 +73,7 @@ fn determinism_scope(path: &str) -> bool {
 }
 
 fn lock_scope(path: &str) -> bool {
-    path == "crates/net/src/server.rs" || path == "crates/net/src/reactor.rs"
+    path == "crates/net/src/reactor.rs"
 }
 
 pub fn run_all(ws: &Workspace) -> Vec<Finding> {
@@ -251,8 +251,7 @@ fn wire_no_panic(ws: &Workspace, out: &mut Vec<Finding>) {
                         &format!(
                             "`.{}(..)` in `{}`, which is reachable from the wire \
                              (roots: Message::decode, AuthSession::handle_message, \
-                             FrameReader::next_frame, ServerLoop::serve, \
-                             ReactorServer::run)",
+                             FrameReader::next_frame, ReactorServer::run)",
                             tok.text, f.key
                         ),
                     ));
@@ -389,7 +388,7 @@ fn lock_discipline(ws: &Workspace, out: &mut Vec<Finding>) {
                                     &format!(
                                         "`{id}` (rank {new_rank}) locked while `{held}` \
                                          (rank {held_rank}) is held in `{}`; the documented \
-                                         order is progress → service → rng",
+                                         order is progress → rng → inbox → ids → core",
                                         f.key
                                     ),
                                 ));
@@ -434,7 +433,7 @@ fn lock_discipline(ws: &Workspace, out: &mut Vec<Finding>) {
 
 /// The detection and streaming-decision code must be a pure function of its
 /// inputs: no wall-clock reads, no hash-order iteration. (Deadline logic
-/// lives in `piano-net` and `continuous.rs`, outside this scope.)
+/// lives in `piano-net`, outside this scope.)
 fn decision_determinism(ws: &Workspace, out: &mut Vec<Finding>) {
     for (fi, file) in ws.files.iter().enumerate() {
         if !determinism_scope(&file.rel_path) {

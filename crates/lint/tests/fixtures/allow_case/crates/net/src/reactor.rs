@@ -2,14 +2,14 @@
 //! finding and lands in the inventory), one malformed (missing the
 //! mandatory reason — itself a gate failure), one finding left bare.
 
-pub struct ServerLoop;
+pub struct ReactorServer;
 
-impl ServerLoop {
-    pub fn serve(&self) {
-        self.handle(1);
+impl ReactorServer {
+    pub fn run(&self) {
+        self.drive(1);
     }
 
-    fn handle(&self, n: usize) {
+    fn drive(&self, n: usize) {
         let v: Vec<u8> = vec![0];
         // piano-lint: allow(wire-no-panic, reason = "fixture: invariant documented elsewhere")
         let first = v.first().unwrap();

@@ -1,13 +1,13 @@
 //! Fixture: lock-order inversion plus blocking I/O under a guard.
 
-pub struct ServerLoop;
+pub struct ReactorServer;
 
-impl ServerLoop {
+impl ReactorServer {
     fn scan_and_reply(&self, sh: &Shared, t: &mut Conn) {
-        let service = sh.service.lock();
+        let inbox = sh.inbox.lock();
         let progress = sh.progress.lock();
         t.write_all(b"decision");
         drop(progress);
-        drop(service);
+        drop(inbox);
     }
 }

@@ -1,13 +1,13 @@
 //! Fixture: ascending lock order, I/O only after both guards die.
 
-pub struct ServerLoop;
+pub struct ReactorServer;
 
-impl ServerLoop {
+impl ReactorServer {
     fn scan_and_reply(&self, sh: &Shared, t: &mut Conn) {
         let frame = {
             let progress = sh.progress.lock();
-            let service = sh.service.lock();
-            service.frame_for(progress.round)
+            let ids = sh.ids.lock();
+            ids.frame_for(progress.round)
         };
         t.write_all(&frame);
     }
@@ -15,7 +15,7 @@ impl ServerLoop {
     fn peek(&self, sh: &Shared) -> usize {
         // A statement-temporary guard dies at the semicolon; the later
         // acquisition of a lower rank is therefore legal.
-        let pending = sh.suspended.lock().len();
+        let pending = sh.inbox.lock().len();
         let progress = sh.progress.lock();
         pending + progress.round
     }

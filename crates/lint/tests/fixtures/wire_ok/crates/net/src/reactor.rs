@@ -1,9 +1,9 @@
 //! Fixture: the same path written panic-free.
 
-pub struct ServerLoop;
+pub struct ReactorServer;
 
-impl ServerLoop {
-    pub fn serve(&self) {
+impl ReactorServer {
+    pub fn run(&self) {
         self.handle_feed(7);
     }
 

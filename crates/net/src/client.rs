@@ -453,26 +453,33 @@ impl<T: Transport> FeedHandle<T> {
     ) -> Result<(), PianoError> {
         let mut seq = 0u32;
         for chunk in recording.chunks(chunk_len.max(1)) {
-            let msg = Message::RecheckAudio {
-                session: self.session,
-                round,
-                seq,
-                done: false,
-                samples: chunk.to_vec(),
-            };
-            self.t
-                .write_all(&msg.encode_framed())
-                .map_err(io_transport)?;
+            self.send_recheck_audio(round, seq, false, chunk.to_vec())?;
             seq = seq.wrapping_add(1);
         }
-        let fin = Message::RecheckAudio {
+        self.send_recheck_audio(round, seq, true, Vec::new())
+    }
+
+    /// Writes one [`Message::RecheckAudio`] frame, counting it in
+    /// [`wire_audio_bytes`](Self::wire_audio_bytes) and
+    /// [`raw_audio_bytes`](Self::raw_audio_bytes) like a stream batch.
+    fn send_recheck_audio(
+        &mut self,
+        round: u32,
+        seq: u32,
+        done: bool,
+        samples: Vec<f64>,
+    ) -> Result<(), PianoError> {
+        let msg = Message::RecheckAudio {
             session: self.session,
             round,
             seq,
-            done: true,
-            samples: Vec::new(),
+            done,
+            samples,
         };
-        self.t.write_all(&fin.encode_framed()).map_err(io_transport)
+        let framed = msg.encode_framed();
+        self.wire_audio_bytes += framed.len() as u64;
+        self.raw_audio_bytes += codec::raw_framed_audio_bytes(&msg);
+        self.t.write_all(&framed).map_err(io_transport)
     }
 
     /// Blocks until round `round`'s [`Message::RecheckVerdict`] arrives

@@ -100,7 +100,8 @@ pub fn encode_audio_batch(
 /// `f64` representation — the codec-off baseline `ServiceStats` compares
 /// actual wire bytes against. Computed arithmetically from the message
 /// headers (no re-encoding): `AudioChunk` is `4 + 17 + 8·n` bytes framed,
-/// a batch is `4 + 15 + Σ (4 + 8·nᵢ)`. Non-audio messages cost 0.
+/// a batch is `4 + 15 + Σ (4 + 8·nᵢ)`, and `RecheckAudio` (always raw) is
+/// `4 + 22 + 8·n`. Non-audio messages cost 0.
 pub fn raw_framed_audio_bytes(msg: &Message) -> u64 {
     match msg {
         Message::AudioChunk { samples, .. } => 4 + 17 + 8 * samples.len() as u64,
@@ -110,6 +111,7 @@ pub fn raw_framed_audio_bytes(msg: &Message) -> u64 {
         Message::AudioBatchI16 { chunks, .. } => {
             4 + 15 + chunks.iter().map(|c| 4 + 8 * c.len() as u64).sum::<u64>()
         }
+        Message::RecheckAudio { samples, .. } => 4 + 22 + 8 * samples.len() as u64,
         _ => 0,
     }
 }
@@ -167,6 +169,19 @@ mod tests {
             raw_framed_audio_bytes(&chunk),
             chunk.encode_framed().len() as u64
         );
+        for n in [0, 11] {
+            let recheck = Message::RecheckAudio {
+                session: 9,
+                round: 2,
+                seq: 1,
+                done: n == 0,
+                samples: vec![4.0; n],
+            };
+            assert_eq!(
+                raw_framed_audio_bytes(&recheck),
+                recheck.encode_framed().len() as u64
+            );
+        }
         assert_eq!(
             raw_framed_audio_bytes(&Message::StreamEnd { session: 9 }),
             0

@@ -5,18 +5,24 @@
 //! every feed's voucher "hears" the session's two reference signals
 //! 5 871 samples apart, the gateway's hub microphone hears them 6 000
 //! apart, and Eq. 3 yields `d = ½·(6000−5871)/44100·343 ≈ 0.50 m`.
-//! Keeping the recording builders here means a change to the geometry
-//! (or the quantization step) reaches all three surfaces at once —
+//! Keeping the recording builders (and the direct-ingestion baseline,
+//! [`direct_decisions`]) here means a change to the geometry (or the
+//! quantization step) reaches all three surfaces at once —
 //! otherwise the test, the example, and the bench would silently start
 //! measuring different scenarios.
 
+use std::sync::Arc;
+
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
+
 use piano_core::config::ActionConfig;
-use piano_core::stream::{AuthService, SessionId, ShardedAuthService, SignalRole};
+use piano_core::piano::{AuthDecision, PianoConfig};
+use piano_core::stream::{AuthService, AuthSession, SessionId, ShardedAuthService, SignalRole};
 use piano_core::wire::Message;
 
 use crate::codec::quantize_samples;
 use crate::reactor::ReactorServer;
-use crate::server::ServerLoop;
 
 /// Samples between consecutive sessions' signals in the hub recording.
 pub const STRIDE: usize = 12_288;
@@ -104,11 +110,40 @@ pub fn hub_recording_for(service: &AuthService, ids: &[SessionId]) -> Vec<f64> {
     hub
 }
 
-/// [`hub_recording_for`] over every session a [`ServerLoop`]'s
-/// connections opened, in opening order.
-pub fn hub_recording(server: &ServerLoop) -> Vec<f64> {
-    let ids = server.session_ids();
-    server.with_service(|service| hub_recording_for(service, &ids))
+/// The fleet without any transport — the baseline every gateway run is
+/// compared against: `feeds` voucher sessions opened on one unsharded
+/// [`AuthService`] at τ = 1 m (session randomness drawn from `seed` in
+/// feed order, as a seeded gateway draws it in handshake order), fed
+/// their [`feed_recording`] directly in 1 024-sample chunks, reports
+/// routed by hand, and one [`hub_recording_for`] scanned on the service.
+/// Decisions in feed order.
+pub fn direct_decisions(seed: u64, feeds: usize) -> Vec<AuthDecision> {
+    let mut service = AuthService::new(PianoConfig::with_threshold(1.0));
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let config = service.config().action.clone();
+    let mut ids = Vec::with_capacity(feeds);
+    for _ in 0..feeds {
+        let id = service.open_session(false, &mut rng);
+        let challenge = service.poll_transmit(id).expect("challenge");
+        let mut voucher = AuthSession::voucher_with(Arc::clone(service.detector()));
+        let rec = feed_recording(&challenge, &config);
+        voucher.handle_message(challenge).expect("challenge ok");
+        for chunk in rec.chunks(1_024) {
+            let _ = voucher.push_audio(chunk);
+        }
+        let _ = voucher.finish_audio();
+        let report = voucher.poll_transmit().expect("report");
+        service.handle_message(id, report).expect("routed");
+        ids.push(id);
+    }
+    let hub = hub_recording_for(&service, &ids);
+    for chunk in hub.chunks(16_384) {
+        let _ = service.push_audio(chunk);
+    }
+    let _ = service.finish_audio();
+    ids.iter()
+        .map(|id| service.decision(*id).expect("decided").clone())
+        .collect()
 }
 
 /// [`hub_recording_for`] over a sharded service: identical geometry,

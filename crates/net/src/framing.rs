@@ -1,18 +1,17 @@
 //! Crate-internal helpers binding [`FrameReader`] to a [`Transport`]:
-//! blocking and deadline-bounded "read one frame" loops shared by the
-//! server loop and the client feed handle, plus the error mapping from
+//! the client feed handle's blocking and deadline-bounded reads, the
+//! read-buffer size the reactor shares, and the error mapping from
 //! transport I/O failures into [`PianoError::Transport`].
 
 use std::io;
 use std::time::Instant;
 
 use piano_core::error::PianoError;
-use piano_core::stream::DropCause;
 use piano_core::wire::{FrameReader, Message};
 
 use crate::transport::Transport;
 
-/// Read-buffer size for connection loops: large enough that one read
+/// Read-buffer size for connection reads: large enough that one read
 /// turn can outpace the per-turn drain even for raw `f64` frames, so
 /// watermark backpressure is observable under either codec.
 pub(crate) const READ_BUF_BYTES: usize = 64 * 1024;
@@ -36,48 +35,6 @@ pub(crate) fn read_frame<T: Transport>(
             Ok(0) => return Err(PianoError::Transport("connection closed mid-frame".into())),
             Ok(n) => reader.push(&buf[..n]),
             Err(e) => return Err(io_transport(e)),
-        }
-    }
-}
-
-/// [`read_frame`] bounded by a deadline. Errors carry the [`DropCause`]
-/// a connection supervisor should count the failure under.
-pub(crate) fn read_frame_deadline<T: Transport>(
-    t: &mut T,
-    reader: &mut FrameReader,
-    buf: &mut [u8],
-    deadline: Instant,
-    what: &str,
-) -> Result<Message, (DropCause, PianoError)> {
-    loop {
-        match reader.next_frame() {
-            Ok(Some(msg)) => return Ok(msg),
-            Ok(None) => {}
-            Err(e) => return Err((DropCause::Framing, e)),
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Err((
-                DropCause::Timeout,
-                PianoError::Timeout(format!("{what} deadline elapsed")),
-            ));
-        }
-        match t.read_timeout(buf, deadline - now) {
-            Ok(0) => {
-                return Err((
-                    DropCause::Disconnect,
-                    PianoError::Transport(format!("connection closed during {what}")),
-                ))
-            }
-            // piano-lint: allow(wire-no-panic, reason = "Transport::read_timeout returns n <= buf.len() by contract, so the prefix slice is in bounds")
-            Ok(n) => reader.push(&buf[..n]),
-            Err(e) if e.kind() == io::ErrorKind::TimedOut => {
-                return Err((
-                    DropCause::Timeout,
-                    PianoError::Timeout(format!("{what} deadline elapsed")),
-                ))
-            }
-            Err(e) => return Err((DropCause::Disconnect, io_transport(e))),
         }
     }
 }

@@ -9,7 +9,7 @@
 //! ```text
 //!  client (thin voucher device)                 server (gateway)
 //!  ───────────────────────────                  ────────────────
-//!  FeedHandle                                   ServerLoop
+//!  FeedHandle                                   ReactorServer
 //!    Hello(codecs) ───────────────────────────▶   negotiate codec
 //!    ◀─────────────────── Accept(session,codec)   open AuthService session
 //!    ◀────────────── ReferenceSignals challenge   build voucher AuthSession
@@ -25,17 +25,15 @@
 //!   abstraction with two bindings: a deterministic in-memory duplex
 //!   (always available; what tests and benches use) and a loopback
 //!   `std::net::TcpListener` (auto-skipped where sockets are
-//!   unavailable).
-//! * [`server`] — [`server::ServerLoop`], the thread-per-connection
-//!   model: blocking ingestion into one shared
-//!   [`piano_core::stream::AuthService`], with per-phase deadlines, a
-//!   suspend/resume registry, and admission-control shedding.
-//! * [`reactor`] — [`reactor::ReactorServer`], the readiness-reactor
-//!   model: the same wire protocol and drop accounting served by one
-//!   event-loop thread over nonblocking reads, with phase deadlines on a
-//!   timer wheel and service state sharded per scan group
-//!   ([`piano_core::stream::ShardedAuthService`]). Connection cost is
-//!   bytes of state instead of an OS thread.
+//!   unavailable; the reactor polls it in probe mode).
+//! * [`reactor`] — [`reactor::ReactorServer`], the gateway: one
+//!   event-loop thread serving every connection over nonblocking reads,
+//!   with per-phase deadlines on a timer wheel, a suspend/resume
+//!   registry, admission-control shedding, standing re-challenge
+//!   rounds, and service state sharded per scan group
+//!   ([`piano_core::stream::ShardedAuthService`]). Its knobs are
+//!   [`reactor::ServerConfig`]. Connection cost is bytes of state
+//!   instead of an OS thread.
 //! * [`client`] — the client-side [`client::FeedHandle`] that paces sends
 //!   on credit, and [`client::ResilientFeed`], which redials and resumes
 //!   the wire session when the transport dies.
@@ -56,11 +54,11 @@
 //! to the [`piano_core::stream::AuthService`] directly: framing is
 //! exact, the i16 codec is lossless past quantization, and the scan
 //! layers underneath are chunking- and worker-count-invariant
-//! (`tests/net_transport.rs` pins the end-to-end conformance for 100
-//! concurrent feeds, codec on and off). The guarantee extends across
+//! (`tests/reactor_conformance.rs` pins the end-to-end conformance for
+//! 100 concurrent feeds, codec on and off). The guarantee extends across
 //! faults: a stream broken by a survivable disconnect and resumed via
 //! `Resume`/`ResumeAck` delivers a sample stream byte-identical to the
-//! unbroken run (`tests/fault_injection.rs`).
+//! unbroken run (`tests/reactor_conformance.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -71,15 +69,13 @@ pub mod fixtures;
 mod framing;
 mod metrics;
 pub mod reactor;
-pub mod server;
 pub mod transport;
 mod wheel;
 
 pub use client::{FeedHandle, FeedStats, ResilientFeed, RetryPolicy};
 pub use codec::{quantize, quantize_samples};
 pub use fault::{FaultLog, FaultPlan, FaultyTransport, LinkFaults, StallSpec};
-pub use reactor::ReactorServer;
-pub use server::{ServerConfig, ServerLoop};
+pub use reactor::{ReactorServer, ServerConfig};
 pub use transport::{
     memory_hub, memory_pair, Listener, MemoryStream, ReadySet, ReadySignal, Transport,
 };

@@ -1,10 +1,7 @@
-//! Crate-internal ingestion accounting shared by the two server models
-//! ([`crate::server::ServerLoop`], thread-per-connection, and
-//! [`crate::reactor::ReactorServer`], the readiness reactor): atomic
-//! counters, the [`DropCause`] slot mapping, the parked per-feed state,
-//! and the [`ServiceStats`] snapshot assembly. Keeping these in one place
-//! is what lets the conformance suite assert the two models account for
-//! faults identically.
+//! Crate-internal ingestion accounting for
+//! [`crate::reactor::ReactorServer`]: atomic counters, the [`DropCause`]
+//! slot mapping, the parked per-feed state, and the [`ServiceStats`]
+//! snapshot assembly.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -12,8 +9,8 @@ use std::time::Instant;
 use piano_core::stream::{AuthSession, DropCause, DropCounts, ServiceStats, SessionId};
 use piano_core::wire::{IngestFeed, Message};
 
-/// Atomic ingestion counters, aggregated across connection threads (or
-/// read from the reactor thread while hosts snapshot concurrently).
+/// Atomic ingestion counters: written by the reactor thread, read by
+/// hosts snapshotting concurrently.
 #[derive(Debug, Default)]
 pub(crate) struct Counters {
     pub(crate) connections: AtomicU64,
@@ -84,8 +81,7 @@ impl Counters {
 }
 
 /// Everything one attached feed carries: the parked form of a connection,
-/// moved between an owning loop (thread or reactor) and the suspension
-/// registry.
+/// moved between its connection and the suspension registry.
 #[derive(Debug)]
 pub(crate) struct FeedState {
     /// The service session (scan-side identity).

@@ -1,12 +1,14 @@
-//! The readiness-reactor ingest server: every connection a state
-//! machine, every deadline a timer-wheel entry, one thread for the whole
-//! fleet.
+//! The readiness-reactor ingest server — the gateway: every connection
+//! a state machine, every deadline a timer-wheel entry, one thread for
+//! the whole fleet.
 //!
-//! [`ReactorServer`] serves the same wire protocol as
-//! [`ServerLoop`](crate::server::ServerLoop) — the conformance suite
-//! pins the two models to byte-identical decisions and identical
-//! [`DropCause`] accounting — but replaces thread-per-connection
-//! blocking reads with a poll-style event loop:
+//! [`ReactorServer`] is the gateway half of the fleet-ingestion picture
+//! (see the [crate docs](crate)): it admits connections, runs one
+//! [`FrameReader`] + [`IngestFeed`] + voucher [`AuthSession`] per
+//! connection, drains decoded audio into the voucher scan, routes each
+//! feed's Step V report into one [`ShardedAuthService`], and writes
+//! `Busy`/`Credit`/`Decision` replies back on the connection — all from
+//! a poll-style event loop over nonblocking reads:
 //!
 //! ```text
 //!            host threads                      reactor thread
@@ -21,53 +23,111 @@
 //!   (transports without readiness)             → Busy/Credit/Decision
 //! ```
 //!
-//! # Why a reactor
+//! The reactor owns all connection state itself — a few hundred bytes
+//! per connection plus the frame reader's buffer — shares one read
+//! scratch buffer across the fleet, and sleeps on a single [`ReadySet`]
+//! condition variable bounded by the earliest timer. The connection
+//! ceiling is a question of per-connection *bytes*, not schedulable
+//! *threads* (`net_ingest` in the bench suite reports it against the
+//! arithmetic cost of a thread per connection).
 //!
-//! The threaded model pays one OS thread (default 2 MiB of stack) plus a
-//! dedicated 64 KiB read buffer per connection, and parks each thread in
-//! a blocking `read_timeout`. The reactor owns all connection state
-//! itself — a few hundred bytes per connection state plus the frame
-//! reader's
-//! buffer — shares one read scratch buffer across the fleet, and sleeps
-//! on a single [`ReadySet`] condition variable bounded by the earliest
-//! timer. The connection ceiling becomes a question of per-connection
-//! *bytes*, not schedulable *threads* (`net_ingest` in the bench suite
-//! reports both models' ceilings).
+//! # Determinism
 //!
-//! # What is preserved verbatim
+//! Handshakes are processed in arrival order on one thread, so session
+//! RNG draws bind to connection order; framing, codecs, and the scan
+//! layers underneath are chunking-invariant. N feeds through the reactor
+//! decide byte-identically to direct [`AuthService`] ingestion of the
+//! same quantized recordings.
 //!
-//! * **Decision determinism** — handshakes are processed in arrival
-//!   order on one thread, so session RNG draws bind exactly as the
-//!   threaded server's accept order does; framing, codecs, and the scan
-//!   layers underneath are unchanged. N feeds through the reactor decide
-//!   byte-identically to direct [`AuthService`] ingestion.
-//! * **Fault isolation** — a connection that loses framing, skips
-//!   sequence numbers, overruns its backlog, or misses a deadline is
-//!   dropped alone, counted under the same [`DropCause`] the threaded
-//!   server uses.
-//! * **Deadline semantics** — handshake, mid-stream idle (only while
-//!   the backlog is empty), whole-stream budget (anchored at handshake,
-//!   spanning suspensions), and decision-wait timeouts all fire with the
-//!   threaded server's classification; they are wheel entries instead of
-//!   blocking-read bounds, so they can never fire early and never pin a
-//!   thread.
-//! * **Suspend/resume accounting** — a lost transport suspends into the
-//!   same registry semantics ([`ServiceStats::connections_suspended`],
-//!   `resumes`, [`DropCause::ResumeExpired`]); a `Resume` probe that
-//!   arrives *before* the loss is discovered parks as a connection state
-//!   (`Phase::PendingResume`) and is adopted the moment the loss
-//!   lands — the reactor-event form of the registry wait, with no
-//!   busy-polling anywhere.
-//! * **Admission shedding** — a `Hello` over the
-//!   [`ServerConfig::max_active_feeds`] limit is answered with `Retry`
-//!   before any session state exists.
+//! # Fault isolation
 //!
-//! What changes: the service is a [`ShardedAuthService`], so feeds on
-//! different [`ActionConfig`](piano_core::config::ActionConfig)s tick
-//! their scans under different locks (shard routing is by strided
-//! session id — see the type's docs), and the host-facing wait/scan
-//! calls are mailbox messages to the reactor instead of lock-and-block
-//! rendezvous.
+//! A connection that violates the protocol — loses framing (the
+//! [`FrameReader`] poisons, with [`FrameReader::poison_cause`] saying
+//! why), skips sequence numbers, or ignores `Busy` past the
+//! [`IngestFeed::hard_limit`] — is **dropped alone**: the reactor logs
+//! the cause, counts it under its [`DropCause`] in
+//! [`ServiceStats::drops`], closes that connection's session, and every
+//! other feed proceeds untouched.
+//!
+//! # Deadlines
+//!
+//! The handshake must complete within
+//! [`ServerConfig::handshake_timeout`], a mid-stream silence longer than
+//! [`ServerConfig::idle_timeout`] (counted only while the backlog is
+//! empty) times the feed out, a whole stream may not outlive
+//! [`ServerConfig::stream_timeout`] (anchored at the handshake, spanning
+//! suspensions), and a reported connection waiting on the hub verdict
+//! gives up after [`ServerConfig::decision_timeout`]. Deadlines are
+//! wheel entries, so they never fire early and never pin a thread; a
+//! timed-out connection is dropped alone under [`DropCause::Timeout`],
+//! and one stalled feed can never wedge
+//! [`ReactorServer::wait_for_reports`].
+//!
+//! # Reconnect and resume
+//!
+//! With [`ServerConfig::resume_window`] non-zero, a feed whose transport
+//! dies mid-stream is *suspended* instead of dropped: its
+//! [`IngestFeed`] + voucher state parks in a registry keyed by the wire
+//! session id ([`ServiceStats::connections_suspended`]). A client that
+//! reconnects within the window and opens with [`Message::Resume`] is
+//! answered by [`Message::ResumeAck`] carrying the first sequence number
+//! the server never accepted, and the stream continues exactly where it
+//! broke — the delivered sample stream is byte-identical to an unbroken
+//! run. A `Resume` probe that arrives *before* the loss is discovered
+//! parks as a connection state (`Phase::PendingResume`) and is adopted
+//! the moment the loss lands, with no polling. Suspensions that outlive
+//! the window are dropped under [`DropCause::ResumeExpired`].
+//!
+//! # Overload shedding
+//!
+//! With [`ServerConfig::max_active_feeds`] set, a [`Message::Hello`]
+//! arriving while that many feeds are already streaming is answered with
+//! [`Message::Retry`] (carrying [`ServerConfig::retry_after_ms`]) and
+//! the connection closes before any session state is allocated. Shed
+//! connections count in [`ServiceStats::connections_shed`], not as
+//! drops.
+//!
+//! # One scan epoch
+//!
+//! A scan group's signature set is fixed once hub audio flows, so a
+//! `ReactorServer` serves one authentication *epoch*: connections
+//! arrive and stream, the host calls [`ReactorServer::scan_and_decide`]
+//! with the hub microphone's recording once every feed reported (see
+//! [`ReactorServer::wait_for_reports`]), and the reactor delivers the
+//! verdicts. Nothing resets the scan once it ran: a feed that reports
+//! after the first hub scan is denied with a protocol failure without
+//! its audio being hub-scanned, and a second `scan_and_decide` returns
+//! the first scan's count at once. Hosts serving repeated epochs build a
+//! fresh server per epoch; re-verification of granted feeds goes
+//! through standing sessions below.
+//!
+//! # Standing sessions and wire re-challenge
+//!
+//! With [`ServerConfig::standing`] set, a granted feed does **not**
+//! close after its `Decision` frame: the connection parks in a standing
+//! phase, and the host re-verifies the whole fleet over the live
+//! connections — no reconnects — in batched *re-challenge rounds*
+//! driven by [`ReactorServer::begin_recheck_round`]. Each round replays
+//! the PIANO protocol end to end on a **fresh** per-round service
+//! session: the server writes [`Message::Recheck`] (fresh Step II
+//! reference signals under the feed's original wire session id), the
+//! client plays and records, streams the recording back as
+//! [`Message::RecheckAudio`] frames, the gateway voucher re-ranges and
+//! routes a fresh Step V report, the host scans one hub recording for
+//! the whole round ([`ReactorServer::recheck_scan_and_decide`] — one
+//! coarse pass for every standing feed), and the connection receives
+//! [`Message::RecheckVerdict`]. Rounds repeat until
+//! [`ReactorServer::end_standing`]. Risk-adaptive round *timing* is the
+//! host's job — drive it from [`piano_core::continuum::Continuum`]'s
+//! timer wheel.
+//!
+//! # Sharding
+//!
+//! The service is a [`ShardedAuthService`], so feeds on different
+//! [`ActionConfig`](piano_core::config::ActionConfig)s tick their scans
+//! under different locks (shard routing is by strided session id — see
+//! the type's docs), and the host-facing wait/scan calls are mailbox
+//! messages to the reactor instead of lock-and-block rendezvous.
 //!
 //! [`AuthService`]: piano_core::stream::AuthService
 
@@ -83,15 +143,14 @@ use rand_chacha::ChaCha8Rng;
 
 use piano_core::error::PianoError;
 use piano_core::piano::{AuthDecision, DenialReason};
+use piano_core::pool::FramePool;
 use piano_core::stream::{AuthSession, DropCause, ServiceStats, SessionId, ShardedAuthService};
 use piano_core::sync::OrderedMutex;
-use piano_core::pool::FramePool;
 use piano_core::wire::{FrameReader, IngestFeed, Message, WireCodec};
 
 use crate::codec;
 use crate::framing::{io_transport, READ_BUF_BYTES};
 use crate::metrics::{audio_samples, Counters, FeedState};
-use crate::server::ServerConfig;
 use crate::transport::{Listener, ReadySet, Transport};
 use crate::wheel::{TimerKey, TimerWheel};
 
@@ -107,6 +166,73 @@ const PROBE_TICK: Duration = Duration::from_millis(1);
 /// Most `try_read` calls one turn spends on one connection before
 /// yielding, so one firehose feed cannot starve the rest of the fleet.
 const READS_PER_TURN: usize = 8;
+
+/// Tuning knobs of a [`ReactorServer`].
+#[derive(Clone, Debug)]
+pub struct ServerConfig {
+    /// Per-feed buffered-sample high-water mark ([`IngestFeed::new`]).
+    pub high_water: usize,
+    /// Samples drained from a feed into its voucher scan per loop turn —
+    /// the server's simulated scan rate, which is what makes
+    /// backpressure observable at all.
+    pub drain_chunk: usize,
+    /// Codecs this server accepts, in no particular order (the *client's*
+    /// preference order wins among these).
+    pub supported_codecs: Vec<WireCodec>,
+    /// A connection must complete its opening exchange (`Hello` or
+    /// `Resume`, through the challenge write) within this long.
+    pub handshake_timeout: Duration,
+    /// Longest mid-stream silence tolerated while the feed's backlog is
+    /// empty; a feed quiet longer is dropped under [`DropCause::Timeout`].
+    pub idle_timeout: Duration,
+    /// Budget for a feed's whole stream, handshake to `StreamEnd`
+    /// (spanning suspensions and resumes) — the slow-feed watchdog.
+    pub stream_timeout: Duration,
+    /// How long a reported connection waits for the hub scan's verdict
+    /// before giving up.
+    pub decision_timeout: Duration,
+    /// How long a feed whose transport died may remain suspended awaiting
+    /// a [`Message::Resume`]. `Duration::ZERO` (the default) disables
+    /// resume: a lost transport drops the feed immediately.
+    pub resume_window: Duration,
+    /// Admission limit: a `Hello` arriving while this many feeds are
+    /// actively streaming is shed with [`Message::Retry`].
+    /// `usize::MAX` (the default) disables shedding.
+    pub max_active_feeds: usize,
+    /// The back-off hint written in the [`Message::Retry`] a shed
+    /// connection receives.
+    pub retry_after_ms: u64,
+    /// Keep granted feeds connected as *standing* sessions after their
+    /// verdict, serving wire re-challenge rounds
+    /// ([`Message::Recheck`] → [`Message::RecheckAudio`] →
+    /// [`Message::RecheckVerdict`]) until [`ReactorServer::end_standing`].
+    /// Off by default: the classic one-epoch flow delivers the verdict
+    /// and closes.
+    pub standing: bool,
+    /// Budget for one re-challenge round's client half: from the
+    /// [`Message::Recheck`] write until the round's final
+    /// [`Message::RecheckAudio`] arrives.
+    pub recheck_timeout: Duration,
+}
+
+impl Default for ServerConfig {
+    fn default() -> Self {
+        ServerConfig {
+            high_water: 6_000,
+            drain_chunk: 2_048,
+            supported_codecs: vec![WireCodec::Raw, WireCodec::I16Delta],
+            handshake_timeout: Duration::from_secs(10),
+            idle_timeout: Duration::from_secs(30),
+            stream_timeout: Duration::from_secs(300),
+            decision_timeout: Duration::from_secs(300),
+            resume_window: Duration::ZERO,
+            max_active_feeds: usize::MAX,
+            retry_after_ms: 50,
+            standing: false,
+            recheck_timeout: Duration::from_secs(30),
+        }
+    }
+}
 
 /// Lock ranks of the [`Shared`] mutexes: acquisition must ascend. `rng`
 /// sits *below* the [`ShardedAuthService`] shard rank (20) because a
@@ -226,9 +352,9 @@ enum Phase {
     AwaitDecision { id: SessionId, wire_session: u64 },
     /// Granted and parked for continuous re-verification
     /// ([`ServerConfig::standing`]): the connection stays open, idle
-    /// between re-challenge rounds. Like the threaded server's standing
-    /// loop, nothing is read here — a silently dead transport is
-    /// discovered (and accounted) at its next round's `Recheck` write.
+    /// between re-challenge rounds. Nothing is read here — a silently
+    /// dead transport is discovered (and accounted) at its next round's
+    /// `Recheck` write.
     Standing { wire_session: u64 },
     /// A re-challenge round is in flight: [`Message::Recheck`] was
     /// written, the round's [`Message::RecheckAudio`] stream is being
@@ -244,7 +370,7 @@ enum Phase {
     /// A `Resume` probe that arrived before its feed's loss was
     /// discovered: parked until the suspension lands (adopted directly
     /// by the losing connection's teardown) or the handshake deadline
-    /// fires. This replaces the threaded server's registry busy-poll.
+    /// fires — the event form of a registry wait, with no polling.
     PendingResume {
         wire_session: u64,
         client_next_seq: u32,
@@ -281,7 +407,7 @@ struct Core {
     suspended: BTreeMap<u64, Suspension>,
     wheel: TimerWheel,
     /// One read buffer shared by every connection — the per-connection
-    /// memory the threaded model pays per thread.
+    /// memory a thread-per-connection model would pay per thread.
     scratch: Vec<u8>,
     /// Tokens of probe-mode connections (no readiness notification).
     probe: BTreeSet<usize>,
@@ -412,8 +538,8 @@ impl ReactorServer {
     }
 
     /// Accepts `n` connections from `listener`, registering each with
-    /// the reactor. Unlike the threaded server there are no
-    /// per-connection threads to join: collect verdicts from
+    /// the reactor. There are no per-connection threads to join:
+    /// collect verdicts from
     /// [`outcomes`](Self::outcomes) after the scan.
     pub fn accept_clients<L: Listener>(&self, listener: &mut L, n: usize) {
         for _ in 0..n {
@@ -452,8 +578,9 @@ impl ReactorServer {
 
     /// Largest per-connection resident footprint observed so far, in
     /// bytes: connection state + frame-reader buffer + peak backlog.
-    /// The threaded model adds a thread stack and a private read buffer
-    /// on top of the same state — the bench compares the two.
+    /// A thread-per-connection model would add a thread stack and a
+    /// private read buffer on top of the same state — the bench's cost
+    /// model compares the two.
     pub fn peak_conn_bytes(&self) -> u64 {
         self.shared.conn_bytes_peak.load(Ordering::Relaxed)
     }
@@ -886,17 +1013,16 @@ impl ReactorServer {
             Phase::Handshake => self.drive_handshake(core, token, conn),
             Phase::Streaming(state) => self.drive_streaming(core, token, conn, state, got_bytes),
             Phase::AwaitDecision { id, wire_session } => {
-                // Nothing to read here: like the threaded server, a dead
-                // or chatty peer is only discovered at the Decision
-                // write. The decision timer bounds the wait.
+                // Nothing to read here: a dead or chatty peer is only
+                // discovered at the Decision write. The decision timer
+                // bounds the wait.
                 conn.phase = Phase::AwaitDecision { id, wire_session };
                 Some(conn)
             }
             Phase::Standing { wire_session } => {
-                // Parked between rounds: like the threaded server's
-                // standing loop, nothing is read here — junk frames or a
-                // silently dead transport are discovered (and accounted)
-                // at the next round's re-challenge.
+                // Parked between rounds: nothing is read here — junk
+                // frames or a silently dead transport are discovered
+                // (and accounted) at the next round's re-challenge.
                 conn.phase = Phase::Standing { wire_session };
                 Some(conn)
             }
@@ -996,9 +1122,9 @@ impl ReactorServer {
     }
 
     /// `Hello`: admission check, codec negotiation, session open, and
-    /// the `Accept` + challenge writes, mirroring the threaded server's
-    /// opening exchange exactly (including its shed-before-any-state and
-    /// RNG-draw ordering).
+    /// the `Accept` + challenge writes. Shedding happens before any
+    /// session state exists, and the session RNG is drawn in arrival
+    /// order.
     fn handshake_hello(
         &self,
         core: &mut Core,
@@ -1189,8 +1315,7 @@ impl ReactorServer {
             }
         }
         // Drain one scan chunk per turn — the simulated scan rate that
-        // makes watermark backpressure observable, same as the threaded
-        // server's loop cadence.
+        // makes watermark backpressure observable.
         // Drain straight from the feed's pooled segments into the
         // voucher — no staging copy. Segment boundaries only affect
         // chunking, which the scan is invariant to.
@@ -1480,8 +1605,10 @@ impl ReactorServer {
         mut conn: Conn,
         mut state: Box<RecheckState>,
     ) -> Option<Conn> {
+        let sh = &*self.shared;
         let wire_round = state.round as u32;
         loop {
+            let before = conn.reader.consumed();
             let msg = match conn.reader.next_frame() {
                 Ok(Some(m)) => m,
                 Ok(None) => break,
@@ -1492,12 +1619,12 @@ impl ReactorServer {
                 }
             };
             match msg {
-                Message::RecheckAudio {
+                ref m @ Message::RecheckAudio {
                     session,
                     round,
                     seq,
                     done,
-                    samples,
+                    ref samples,
                 } if session == state.wire_session && round == wire_round => {
                     if seq != state.next_seq {
                         drop(conn);
@@ -1513,8 +1640,15 @@ impl ReactorServer {
                         return None;
                     }
                     state.next_seq = state.next_seq.wrapping_add(1);
+                    sh.counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
+                    sh.counters
+                        .wire_audio_bytes
+                        .fetch_add(conn.reader.consumed() - before, Ordering::Relaxed);
+                    sh.counters
+                        .raw_audio_bytes
+                        .fetch_add(codec::raw_framed_audio_bytes(m), Ordering::Relaxed);
                     if !samples.is_empty() {
-                        let _ = state.voucher.push_audio(&samples);
+                        let _ = state.voucher.push_audio(samples);
                     }
                     if done {
                         return self.conclude_recheck(core, token, conn, state);
@@ -1799,8 +1933,7 @@ impl ReactorServer {
             .connections_suspended
             .fetch_add(1, Ordering::Relaxed);
         let wire_session = state.wire_session;
-        // A reconnect can beat the loss discovery (the threaded server
-        // busy-polled the registry for this case): adopt the parked
+        // A reconnect can beat the loss discovery: adopt the parked
         // probe in the same loop turn, with no registry round-trip.
         if let Some(probe_token) = find_pending_resume(core, wire_session) {
             if let Some(mut probe) = core.conns.get_mut(probe_token).and_then(Option::take) {
@@ -1955,8 +2088,7 @@ impl ReactorServer {
 
     /// A connection's phase deadline genuinely fired: classify and drop
     /// — except a draining stream, whose watchdogs only bite while the
-    /// backlog is empty (matching the threaded server, whose deadlines
-    /// only bound its *blocking* reads).
+    /// backlog is empty.
     fn expire_conn(&self, core: &mut Core, token: usize, mut conn: Conn, now: Instant) {
         let sh = &*self.shared;
         match mem::replace(&mut conn.phase, Phase::Handshake) {

@@ -146,8 +146,8 @@ pub trait Transport: Send {
     /// [`read_some`](Self::read_some) with a deadline: blocks at most
     /// `timeout` for the first byte, then returns
     /// `Err(io::ErrorKind::TimedOut)` if nothing arrived. `Ok(0)` still
-    /// means end-of-stream. This is what deadline-aware server loops use
-    /// so a silent peer cannot pin a connection thread forever.
+    /// means end-of-stream. This is what the client's deadline-bounded
+    /// waits use so a silent peer cannot block the caller forever.
     fn read_timeout(&mut self, buf: &mut [u8], timeout: Duration) -> io::Result<usize>;
 
     /// Registers a readiness signal: the transport arranges for

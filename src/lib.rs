@@ -20,12 +20,12 @@
 //!   ambience comparator.
 //! * [`piano_eval`] — experiment harness regenerating every table/figure.
 //! * [`piano_net`] — the transport subsystem: byte-stream transports
-//!   (in-memory duplex + loopback TCP), the deadline-supervised
-//!   thread-per-connection ingest `ServerLoop` (suspend/resume,
-//!   overload shedding), the credit-paced client `FeedHandle` with its
-//!   reconnect-and-resume `ResilientFeed` wrapper, the seeded
-//!   fault-injection `FaultyTransport`, and the i16 delta PCM codec
-//!   layer.
+//!   (in-memory duplex + loopback TCP), the readiness-reactor gateway
+//!   `ReactorServer` (phase deadlines, suspend/resume, overload
+//!   shedding, standing re-challenge rounds), the credit-paced client
+//!   `FeedHandle` with its reconnect-and-resume `ResilientFeed` wrapper,
+//!   the seeded fault-injection `FaultyTransport`, and the i16 delta PCM
+//!   codec layer.
 //!
 //! # Quickstart
 //!
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use piano_bluetooth::{BluetoothLink, DeviceId, PairingRegistry};
     pub use piano_core::action::{run_action, run_session_pair, ActionOutcome, DistanceEstimate};
     pub use piano_core::config::ActionConfig;
-    pub use piano_core::continuous::{ContinuousScheduler, ContinuousSession, SessionPolicy};
+    pub use piano_core::continuum::{Continuum, RiskPolicy, StandingKey, StandingState};
     pub use piano_core::device::Device;
     pub use piano_core::piano::{AuthDecision, DenialReason, PianoAuthenticator, PianoConfig};
     pub use piano_core::signal::{ReferenceSignal, SignalSampler};
@@ -81,7 +81,7 @@ pub mod prelude {
     pub use piano_dsp::simd::DspBackend;
     pub use piano_net::{
         FaultPlan, FaultyTransport, FeedHandle, ReactorServer, ResilientFeed, RetryPolicy,
-        ServerConfig, ServerLoop,
+        ServerConfig,
     };
 }
 

@@ -1,24 +1,18 @@
 //! Chaos conformance for the transport layer: seeded faults must never
 //! change *what* the fleet decides, only *how* the bytes got there.
 //!
-//! * **Survivable schedules** (short reads/writes, latency, mid-stream
-//!   disconnects with resume enabled) yield decisions byte-identical to
-//!   a fault-free run of the same seeded fleet — the resume protocol
-//!   replays exactly the samples the server never accepted.
-//! * **Unsurvivable schedules** (a stalled feed under a server with no
-//!   resume window) drop only the afflicted feed, within its idle
-//!   deadline, under the right [`DropCause`]; healthy feeds' decisions
-//!   still match the clean baseline.
-//! * **Overload shedding** turns excess `Hello`s into typed
-//!   [`PianoError::Overloaded`] retry hints, and a retrying client is
-//!   admitted once the backlog drains.
-//! * The `_timeout` API variants return typed [`PianoError::Timeout`]
-//!   instead of blocking forever.
 //! * A proptest sweeps [`FaultPlan::chaos`] seeds: segmentation and
-//!   latency chaos alone (no cuts) never changes decisions.
+//!   latency chaos alone (no cuts) never changes decisions against
+//!   direct `AuthService` ingestion.
+//! * The client's `_timeout` API variants return typed
+//!   [`PianoError::Timeout`] instead of blocking forever, and a client
+//!   that gives up is counted as a `DropCause::Disconnect`.
+//!
+//! Survivable cut-and-resume schedules, a stalled feed timing out alone,
+//! and overload shedding are pinned against the gateway in
+//! `tests/reactor_conformance.rs`.
 
-use std::io;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -26,336 +20,42 @@ use rand_chacha::ChaCha8Rng;
 
 use piano::core::error::PianoError;
 use piano::net::fault::{FaultPlan, FaultyTransport};
-use piano::net::fixtures::{feed_recording, hub_recording};
-use piano::net::transport::{memory_hub, Listener, MemoryListener, MemoryStream};
-use piano::net::{FeedHandle, ResilientFeed, RetryPolicy, ServerConfig, ServerLoop};
+use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
+use piano::net::transport::{memory_hub, Listener};
+use piano::net::{FeedHandle, ReactorServer, ServerConfig};
 use piano::prelude::*;
 
 const SEED: u64 = 0xFA17;
 
-fn server_with(tweak: impl FnOnce(&mut ServerConfig)) -> ServerLoop {
-    let mut cfg = ServerConfig::default();
-    tweak(&mut cfg);
-    ServerLoop::new(
-        AuthService::new(PianoConfig::with_threshold(1.0)),
+fn fresh_server() -> ReactorServer {
+    ReactorServer::new(
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(SEED),
-        cfg,
+        ServerConfig::default(),
     )
-}
-
-/// Accepts connections until the hub closes, serving each on its own
-/// thread — resumed connections arrive at unpredictable times, so the
-/// fixed-count accept pattern does not fit chaos runs.
-fn spawn_accept_loop(server: &ServerLoop, mut listener: MemoryListener) {
-    let server = server.clone();
-    std::thread::spawn(move || {
-        while let Ok(conn) = listener.accept_conn() {
-            let s = server.clone();
-            std::thread::spawn(move || {
-                let _ = s.serve(conn);
-            });
-        }
-    });
-}
-
-/// The fault-free fleet: `feeds` clients over clean in-memory transports
-/// against a server seeded exactly like the chaos runs. Decisions in
-/// handshake order — the baseline every chaos schedule must reproduce.
-fn clean_decisions(feeds: usize) -> Vec<AuthDecision> {
-    let server = server_with(|_| {});
-    let (connector, mut listener) = memory_hub();
-    let config = server.with_service(|s| s.config().action.clone());
-    let mut handles = Vec::with_capacity(feeds);
-    for _ in 0..feeds {
-        let transport = connector.connect().expect("hub open");
-        let conn = listener.accept_conn().expect("accept");
-        let server_clone = server.clone();
-        std::thread::spawn(move || server_clone.serve(conn));
-        handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).expect("handshake"));
-    }
-    let clients: Vec<_> = handles
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).expect("stream");
-                feed.finish().expect("stream end");
-                feed.await_decision().expect("verdict")
-            })
-        })
-        .collect();
-    assert_eq!(server.wait_for_reports(feeds), feeds);
-    let hub = hub_recording(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), feeds);
-    clients.into_iter().map(|t| t.join().unwrap()).collect()
-}
-
-#[test]
-fn survivable_faults_yield_byte_identical_decisions() {
-    const FEEDS: usize = 4;
-    let baseline = clean_decisions(FEEDS);
-
-    let server = server_with(|cfg| {
-        cfg.resume_window = Duration::from_secs(10);
-    });
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
-    let config = server.with_service(|s| s.config().action.clone());
-
-    // Sequential handshakes on fault-wrapped transports (no plan cuts
-    // the handshake itself, so session randomness binds to feed order
-    // exactly as in the clean run), then script per-feed cuts relative
-    // to the bytes each link has actually seen.
-    let mut fleet = Vec::with_capacity(FEEDS);
-    for i in 0..FEEDS {
-        let plan = match i {
-            // Feed 0 runs clean; feed 1 loses its write direction in the
-            // middle of an audio batch; feed 2 loses its read direction
-            // just past the handshake (mid-reply or mid-verdict); feed 3
-            // suffers seeded segmentation + latency chaos, no cuts.
-            0 => FaultPlan::clean(SEED),
-            1 => FaultPlan::clean(SEED + 1).with_write_disconnect(4_000),
-            2 => FaultPlan::clean(SEED + 2),
-            _ => FaultPlan::chaos(SEED + 3),
-        };
-        let t = FaultyTransport::new(connector.connect().expect("hub open"), plan);
-        let mut handle =
-            FeedHandle::connect(t, &[WireCodec::I16Delta]).expect("faulty handshake survives");
-        if i == 2 {
-            let seen = handle.transport_mut().read_bytes();
-            handle.transport_mut().set_read_disconnect(seen + 10);
-        }
-        let connector = connector.clone();
-        let mut redials = 0u64;
-        let dial = move || -> io::Result<FaultyTransport<MemoryStream>> {
-            redials += 1;
-            Ok(FaultyTransport::new(
-                connector.connect()?,
-                FaultPlan::clean(SEED ^ redials),
-            ))
-        };
-        fleet.push(ResilientFeed::adopt(
-            handle,
-            dial,
-            RetryPolicy {
-                jitter_seed: SEED + i as u64,
-                ..RetryPolicy::default()
-            },
-        ));
-    }
-
-    let clients: Vec<_> = fleet
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.handle().challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4)
-                    .expect("stream survives faults");
-                let decision = feed
-                    .finish_and_await(Duration::from_secs(60))
-                    .expect("verdict survives faults");
-                (decision, feed.stats())
-            })
-        })
-        .collect();
-
-    assert_eq!(
-        server
-            .wait_for_reports_timeout(FEEDS, Duration::from_secs(60))
-            .expect("every feed reports despite faults"),
-        FEEDS
-    );
-    let hub = hub_recording(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), FEEDS);
-
-    let results: Vec<(AuthDecision, piano::net::FeedStats)> =
-        clients.into_iter().map(|t| t.join().unwrap()).collect();
-    let decisions: Vec<AuthDecision> = results.iter().map(|(d, _)| d.clone()).collect();
-    assert_eq!(
-        decisions, baseline,
-        "faulted fleet diverged from the clean run"
-    );
-
-    let client_resumes: u64 = results.iter().map(|(_, s)| s.resumes).sum();
-    assert!(
-        client_resumes >= 2,
-        "both cut feeds resumed: {client_resumes}"
-    );
-    let stats = server.stats();
-    assert!(
-        stats.resumes >= 2,
-        "server acked the resumes: {}",
-        stats.resumes
-    );
-    assert!(
-        stats.connections_suspended >= 1,
-        "a mid-stream loss suspended: {}",
-        stats.connections_suspended
-    );
-    assert_eq!(
-        stats.drops.total(),
-        stats.connections_dropped,
-        "per-cause drops account for every drop"
-    );
-    assert_eq!(stats.sessions_decided, FEEDS as u64);
-}
-
-#[test]
-fn stalled_feed_times_out_alone_within_the_deadline() {
-    const GOOD: usize = 3;
-    let baseline = clean_decisions(GOOD);
-
-    let server = server_with(|cfg| {
-        cfg.idle_timeout = Duration::from_millis(200);
-    });
-    let (connector, mut listener) = memory_hub();
-    let config = server.with_service(|s| s.config().action.clone());
-
-    // Healthy feeds handshake first (their session randomness matches
-    // the 3-feed baseline); the staller connects last.
-    let mut handles = Vec::new();
-    for _ in 0..GOOD + 1 {
-        let transport = connector.connect().unwrap();
-        let conn = listener.accept_conn().unwrap();
-        let server_clone = server.clone();
-        std::thread::spawn(move || server_clone.serve(conn));
-        handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).unwrap());
-    }
-    let mut stalled = handles.pop().unwrap();
-    stalled.send_batch(&[vec![0.25; 512]]).unwrap();
-    // ... and then nothing: the connection stays open but silent.
-
-    let clients: Vec<_> = handles
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).unwrap();
-                feed.finish().unwrap();
-                feed.await_decision().unwrap()
-            })
-        })
-        .collect();
-
-    let waited = Instant::now();
-    let reported = server
-        .wait_for_reports_timeout(GOOD + 1, Duration::from_secs(30))
-        .expect("the stalled feed's drop unblocks the wait");
-    assert_eq!(reported, GOOD, "only healthy feeds report");
-    assert!(
-        waited.elapsed() < Duration::from_secs(10),
-        "the idle watchdog fired promptly, not at the outer deadline"
-    );
-
-    let hub = hub_recording(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), GOOD);
-    let decisions: Vec<AuthDecision> = clients.into_iter().map(|t| t.join().unwrap()).collect();
-    assert_eq!(decisions, baseline, "healthy feeds unaffected by the stall");
-
-    let stats = server.stats();
-    assert_eq!(stats.connections_dropped, 1, "only the staller dropped");
-    assert_eq!(stats.drops.get(DropCause::Timeout), 1, "under Timeout");
-    drop(stalled);
-}
-
-#[test]
-fn overload_shedding_is_typed_and_recoverable() {
-    const FEEDS: usize = 4;
-    let server = server_with(|cfg| {
-        cfg.max_active_feeds = 2;
-        cfg.retry_after_ms = 10;
-    });
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
-    let config = server.with_service(|s| s.config().action.clone());
-
-    // Fill both admission slots.
-    let first = FeedHandle::connect(connector.connect().unwrap(), &[WireCodec::I16Delta]).unwrap();
-    let second = FeedHandle::connect(connector.connect().unwrap(), &[WireCodec::I16Delta]).unwrap();
-
-    // The third Hello is shed with a typed, hint-carrying error.
-    match FeedHandle::connect(connector.connect().unwrap(), &[WireCodec::I16Delta]) {
-        Err(PianoError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 10),
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-
-    // Stream the admitted pair; retrying clients are admitted as slots
-    // free up at report time.
-    let mut clients: Vec<_> = [first, second]
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).unwrap();
-                feed.finish().unwrap();
-                feed.await_decision().unwrap()
-            })
-        })
-        .collect();
-    for i in 0..FEEDS - 2 {
-        let connector = connector.clone();
-        let config = config.clone();
-        clients.push(std::thread::spawn(move || {
-            let dial = move || connector.connect();
-            let mut feed = ResilientFeed::connect(
-                dial,
-                &[WireCodec::I16Delta],
-                RetryPolicy {
-                    max_attempts: 50,
-                    jitter_seed: SEED + i as u64,
-                    ..RetryPolicy::default()
-                },
-            )
-            .expect("admitted once the backlog drains");
-            assert!(feed.stats().sheds_seen > 0 || feed.stats().retries == 0);
-            let rec = feed_recording(feed.handle().challenge(), &config);
-            feed.send_recording(&rec, 1_024, 4).unwrap();
-            feed.finish_and_await(Duration::from_secs(60)).unwrap()
-        }));
-    }
-
-    assert_eq!(
-        server
-            .wait_for_reports_timeout(FEEDS, Duration::from_secs(60))
-            .expect("all four admitted and reported"),
-        FEEDS
-    );
-    let hub = hub_recording(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), FEEDS);
-    for c in clients {
-        assert!(c.join().unwrap().is_granted(), "every feed granted");
-    }
-    let stats = server.stats();
-    assert!(stats.connections_shed >= 1, "the probe was shed");
-    assert_eq!(stats.connections_dropped, 0, "shedding is not dropping");
 }
 
 #[test]
 fn timeout_variants_return_typed_errors() {
-    let server = server_with(|_| {});
-    match server.wait_for_reports_timeout(1, Duration::from_millis(50)) {
-        Err(PianoError::Timeout(_)) => {}
-        other => panic!("expected Timeout, got {other:?}"),
-    }
-
+    let server = fresh_server();
+    let reactor = server.start();
     let (connector, mut listener) = memory_hub();
     let transport = connector.connect().unwrap();
-    let conn = listener.accept_conn().unwrap();
-    let server_clone = server.clone();
-    let server_thread = std::thread::spawn(move || server_clone.serve(conn));
+    server.register(listener.accept_conn().unwrap());
     let mut feed = FeedHandle::connect(transport, &[WireCodec::Raw]).unwrap();
     match feed.await_decision_timeout(Duration::from_millis(80)) {
         Err(PianoError::Timeout(_)) => {}
         other => panic!("expected Timeout, got {other:?}"),
     }
-    // Disconnect so the server thread exits (a Disconnect drop).
+    // Disconnect mid-stream: with no resume window the gateway drops the
+    // feed, and the drop unblocks the report wait.
     drop(feed);
-    assert!(server_thread.join().unwrap().is_none());
-    assert_eq!(server.stats().drops.get(DropCause::Disconnect), 1);
+    assert_eq!(server.wait_for_reports(1), 0, "the feed never reported");
+    let stats = server.stats();
+    assert_eq!(stats.connections_dropped, 1);
+    assert_eq!(stats.drops.get(DropCause::Disconnect), 1);
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 proptest! {
@@ -367,19 +67,21 @@ proptest! {
     #[test]
     fn chaos_segmentation_never_changes_decisions(seed in proptest::prelude::any::<u64>()) {
         const FEEDS: usize = 2;
-        let baseline = clean_decisions(FEEDS);
-        let server = server_with(|_| {});
+        let baseline = direct_decisions(SEED, FEEDS);
+        let server = fresh_server();
+        let reactor = server.start();
         let (connector, mut listener) = memory_hub();
-        let config = server.with_service(|s| s.config().action.clone());
+        let config = server
+            .service()
+            .with_default(|s| s.config().action.clone())
+            .expect("shard 0 exists");
         let mut handles = Vec::with_capacity(FEEDS);
         for i in 0..FEEDS {
             let t = FaultyTransport::new(
                 connector.connect().expect("hub open"),
                 FaultPlan::chaos(seed ^ i as u64),
             );
-            let conn = listener.accept_conn().expect("accept");
-            let server_clone = server.clone();
-            std::thread::spawn(move || server_clone.serve(conn));
+            server.register(listener.accept_conn().expect("accept"));
             handles.push(
                 FeedHandle::connect(t, &[WireCodec::I16Delta]).expect("chaos handshake"),
             );
@@ -402,10 +104,12 @@ proptest! {
                 .expect("reports"),
             FEEDS
         );
-        let hub = hub_recording(&server);
+        let hub = hub_recording_reactor(&server);
         prop_assert_eq!(server.scan_and_decide(&hub, 16_384), FEEDS);
         let decisions: Vec<AuthDecision> =
             clients.into_iter().map(|t| t.join().unwrap()).collect();
+        server.shutdown();
+        reactor.join().expect("reactor thread");
         prop_assert_eq!(decisions, baseline);
     }
 }

@@ -1,34 +1,31 @@
-//! End-to-end transport conformance: the byte-stream layer must move
-//! audio without changing results.
+//! End-to-end transport checks for the gateway's edge cases; the
+//! 100-feed fleet conformance lives in `tests/reactor_conformance.rs`.
 //!
 //! * Framed messages survive any segmentation of a real transport's byte
 //!   stream (threads, partial reads — not just the sans-IO reader).
-//! * **Server-loop conformance:** decisions for 100 concurrent feeds
-//!   ingested over the in-memory transport — with the codec off *and*
-//!   with i16-delta — are identical to feeding the same quantized
-//!   recordings into an `AuthService` directly.
 //! * A connection that loses framing, or ignores `Busy` past the hard
-//!   limit, is dropped alone: its poison cause is surfaced and every
-//!   other feed still decides.
-//! * A loopback-TCP smoke runs the same stack over real sockets,
-//!   auto-skipping where binding 127.0.0.1 fails.
+//!   limit, is dropped alone: its cause is counted and every other feed
+//!   still decides exactly as direct `AuthService` ingestion does.
+//! * A loopback-TCP smoke runs the same stack over real sockets — which
+//!   the reactor serves in probe mode, having no readiness signal for
+//!   them — auto-skipping where binding 127.0.0.1 fails.
 
-use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use piano::core::wire::{FrameReader, Message, WireCodec};
-use piano::net::fixtures::{feed_recording, hub_recording, hub_recording_for};
+use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
 use piano::net::transport::{memory_hub, memory_pair, tcp_loopback, Listener, Transport};
-use piano::net::{FeedHandle, ServerConfig, ServerLoop};
+use piano::net::{FeedHandle, ReactorServer, ServerConfig};
 use piano::prelude::*;
 
 const SEED: u64 = 0xF1EE7;
 
-fn fresh_server(high_water: usize, drain_chunk: usize) -> ServerLoop {
-    ServerLoop::new(
-        AuthService::new(PianoConfig::with_threshold(1.0)),
+fn fresh_server(high_water: usize, drain_chunk: usize) -> ReactorServer {
+    ReactorServer::new(
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(SEED),
         ServerConfig {
             high_water,
@@ -38,102 +35,26 @@ fn fresh_server(high_water: usize, drain_chunk: usize) -> ServerLoop {
     )
 }
 
-/// Runs `feeds` concurrent clients through a fresh in-memory server with
-/// `codec`, returning decisions in handshake order.
-fn transport_decisions(feeds: usize, codec: WireCodec) -> Vec<AuthDecision> {
-    let server = fresh_server(6_000, 2_048);
-    let (connector, mut listener) = memory_hub();
-    let config = server.with_service(|s| s.config().action.clone());
-
-    // Handshakes run sequentially so session randomness binds to feed
-    // index deterministically; the streaming itself is fully concurrent.
-    let mut handles = Vec::with_capacity(feeds);
-    let mut server_threads = Vec::with_capacity(feeds);
-    for _ in 0..feeds {
-        let transport = connector.connect().expect("hub open");
-        let server_clone = server.clone();
-        let conn = listener.accept_conn().expect("accept");
-        server_threads.push(std::thread::spawn(move || server_clone.serve(conn)));
-        handles.push(FeedHandle::connect(transport, &[codec]).expect("handshake"));
-    }
-    let client_threads: Vec<_> = handles
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                assert_eq!(feed.codec(), codec, "server honors the offer");
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).expect("stream");
-                feed.finish().expect("stream end");
-                feed.await_decision().expect("verdict")
-            })
-        })
-        .collect();
-
-    assert_eq!(server.wait_for_reports(feeds), feeds, "every feed reports");
-    let hub = hub_recording(&server);
-    let decided = server.scan_and_decide(&hub, 16_384);
-    assert_eq!(decided, feeds, "every session decides");
-
-    let decisions: Vec<AuthDecision> = client_threads
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect();
-    let server_outcomes: Vec<_> = server_threads
-        .into_iter()
-        .map(|t| t.join().expect("server thread").expect("not dropped"))
-        .collect();
-    // The verdict the client received is the one the service recorded.
-    for ((_, server_decision), client_decision) in server_outcomes.iter().zip(&decisions) {
-        assert_eq!(server_decision, client_decision);
-    }
-    let stats = server.stats();
-    assert_eq!(stats.connections, feeds as u64);
-    assert_eq!(stats.connections_dropped, 0);
-    assert_eq!(stats.sessions_decided, feeds as u64);
-    assert_eq!(stats.busy_replies, stats.credit_replies);
-    match codec {
-        WireCodec::Raw => assert_eq!(stats.wire_audio_bytes, stats.raw_audio_bytes),
-        WireCodec::I16Delta => assert!(
-            stats.compression_ratio() >= 3.5,
-            "fleet compression only {:.2}x",
-            stats.compression_ratio()
-        ),
-    }
-    decisions
+fn action_config(server: &ReactorServer) -> ActionConfig {
+    server
+        .service()
+        .with_default(|s| s.config().action.clone())
+        .expect("shard 0 exists")
 }
 
-/// The same fleet without any transport: voucher sessions fed directly,
-/// reports routed by hand, hub scanned on the service.
-fn direct_decisions(feeds: usize) -> Vec<AuthDecision> {
-    let mut service = AuthService::new(PianoConfig::with_threshold(1.0));
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let config = service.config().action.clone();
-    let mut ids = Vec::with_capacity(feeds);
-    let mut vouchers = Vec::with_capacity(feeds);
-    for _ in 0..feeds {
-        let id = service.open_session(false, &mut rng);
-        let challenge = service.poll_transmit(id).expect("challenge");
-        let mut voucher = AuthSession::voucher_with(Arc::clone(service.detector()));
-        let rec = feed_recording(&challenge, &config);
-        voucher.handle_message(challenge).expect("challenge ok");
-        for chunk in rec.chunks(1_024) {
-            let _ = voucher.push_audio(chunk);
-        }
-        let _ = voucher.finish_audio();
-        let report = voucher.poll_transmit().expect("report");
-        service.handle_message(id, report).expect("routed");
-        ids.push(id);
-        vouchers.push(voucher);
-    }
-    let hub = hub_recording_for(&service, &ids);
-    for chunk in hub.chunks(16_384) {
-        let _ = service.push_audio(chunk);
-    }
-    let _ = service.finish_audio();
-    ids.iter()
-        .map(|id| service.decision(*id).expect("decided").clone())
-        .collect()
+/// Streams the feed's fixture recording on its own thread and returns
+/// the verdict it receives.
+fn spawn_client<T: Transport + Send + 'static>(
+    mut feed: FeedHandle<T>,
+    config: &ActionConfig,
+) -> JoinHandle<AuthDecision> {
+    let config = config.clone();
+    std::thread::spawn(move || {
+        let rec = feed_recording(feed.challenge(), &config);
+        feed.send_recording(&rec, 1_024, 4).expect("stream");
+        feed.finish().expect("stream end");
+        feed.await_decision().expect("verdict")
+    })
 }
 
 #[test]
@@ -193,55 +114,23 @@ fn framed_stream_survives_any_transport_segmentation() {
 }
 
 #[test]
-fn fleet_runs_under_the_env_selected_codec() {
-    // The CI matrix sets PIANO_WIRE_CODEC ∈ {off, i16-delta}; this fleet
-    // negotiates whatever the environment selected, so the suite's wire
-    // traffic genuinely differs between matrix entries.
-    let codec = WireCodec::from_env();
-    let decisions = transport_decisions(3, codec);
-    assert!(decisions.iter().all(AuthDecision::is_granted));
-}
-
-#[test]
-fn server_loop_decisions_match_direct_ingestion_for_100_feeds() {
-    const FEEDS: usize = 100;
-    let direct = direct_decisions(FEEDS);
-    for d in &direct {
-        match d {
-            AuthDecision::Granted { distance_m } => {
-                assert!(
-                    (distance_m - 0.5).abs() < 0.1,
-                    "direct distance {distance_m}"
-                )
-            }
-            other => panic!("direct path denied: {other:?}"),
-        }
-    }
-    let raw = transport_decisions(FEEDS, WireCodec::Raw);
-    let compressed = transport_decisions(FEEDS, WireCodec::I16Delta);
-    assert_eq!(raw, direct, "codec-off transport diverged from direct");
-    assert_eq!(
-        compressed, direct,
-        "i16-delta transport diverged from direct"
-    );
-}
-
-#[test]
 fn poisoned_connection_is_dropped_alone() {
     const GOOD: usize = 3;
+    let baseline = direct_decisions(SEED, GOOD);
     let server = fresh_server(6_000, 2_048);
+    let reactor = server.start();
     let (connector, mut listener) = memory_hub();
-    let config = server.with_service(|s| s.config().action.clone());
+    let config = action_config(&server);
 
-    // One malicious client: a valid handshake, then garbage bytes.
-    let mut server_threads = Vec::new();
-    let bad_transport = connector.connect().unwrap();
-    {
-        let conn = listener.accept_conn().unwrap();
-        let server_clone = server.clone();
-        server_threads.push(std::thread::spawn(move || server_clone.serve(conn)));
+    // Healthy feeds handshake first, so their session randomness matches
+    // the direct baseline; the malicious client connects last.
+    let mut handles = Vec::new();
+    for _ in 0..GOOD + 1 {
+        let transport = connector.connect().unwrap();
+        server.register(listener.accept_conn().unwrap());
+        handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).unwrap());
     }
-    let mut bad = FeedHandle::connect(bad_transport, &[WireCodec::I16Delta]).unwrap();
+    let mut bad = handles.pop().unwrap();
     let bad_thread = std::thread::spawn(move || {
         // One honest batch, then an oversized length prefix — the
         // receiver's reader poisons and the connection is dropped.
@@ -250,59 +139,51 @@ fn poisoned_connection_is_dropped_alone() {
             .write_all(&u32::MAX.to_le_bytes())
             .unwrap();
     });
-
-    let mut good_handles = Vec::new();
-    for _ in 0..GOOD {
-        let transport = connector.connect().unwrap();
-        let conn = listener.accept_conn().unwrap();
-        let server_clone = server.clone();
-        server_threads.push(std::thread::spawn(move || server_clone.serve(conn)));
-        good_handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).unwrap());
-    }
-    let good_threads: Vec<_> = good_handles
+    let good: Vec<_> = handles
         .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).unwrap();
-                feed.finish().unwrap();
-                feed.await_decision().unwrap()
-            })
-        })
+        .map(|feed| spawn_client(feed, &config))
         .collect();
 
     bad_thread.join().unwrap();
     // The dropped connection counts toward the wait, so waiting on the
     // full connection count cannot hang; only the healthy feeds report.
     assert_eq!(server.wait_for_reports(GOOD + 1), GOOD);
-    let hub = hub_recording(&server);
-    let decided = server.scan_and_decide(&hub, 16_384);
-    assert_eq!(decided, GOOD, "the healthy feeds all decide");
-    for t in good_threads {
-        assert!(t.join().unwrap().is_granted(), "healthy feed granted");
-    }
-    let outcomes: Vec<_> = server_threads
-        .into_iter()
-        .map(|t| t.join().unwrap())
-        .collect();
-    assert_eq!(outcomes.iter().filter(|o| o.is_none()).count(), 1);
+    let hub = hub_recording_reactor(&server);
+    assert_eq!(server.scan_and_decide(&hub, 16_384), GOOD);
+    let decisions: Vec<AuthDecision> = good.into_iter().map(|t| t.join().unwrap()).collect();
+    assert_eq!(
+        decisions, baseline,
+        "healthy feeds unaffected by the poison"
+    );
     let stats = server.stats();
     assert_eq!(stats.connections, (GOOD + 1) as u64);
     assert_eq!(stats.connections_dropped, 1);
+    assert_eq!(stats.drops.get(DropCause::Framing), 1, "under Framing");
     assert_eq!(stats.sessions_decided, GOOD as u64);
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]
 fn sender_ignoring_busy_past_the_hard_limit_is_dropped() {
     // A tiny high-water mark and a drain rate of one sample per turn: the
-    // rogue sender outruns the scan and blows through the hard limit.
+    // rogue sender outruns the scan and blows through the hard limit,
+    // while a credit-paced feed on the same server still decides.
+    let baseline = direct_decisions(SEED, 1);
     let server = fresh_server(500, 1);
+    let reactor = server.start();
     let (connector, mut listener) = memory_hub();
+    let config = action_config(&server);
+
     let transport = connector.connect().unwrap();
-    let conn = listener.accept_conn().unwrap();
-    let server_clone = server.clone();
-    let server_thread = std::thread::spawn(move || server_clone.serve(conn));
+    server.register(listener.accept_conn().unwrap());
+    let healthy = spawn_client(
+        FeedHandle::connect(transport, &[WireCodec::Raw]).unwrap(),
+        &config,
+    );
+
+    let transport = connector.connect().unwrap();
+    server.register(listener.accept_conn().unwrap());
     let feed = FeedHandle::connect(transport, &[WireCodec::Raw]).unwrap();
     let session = feed.session();
     // Bypass the handle's pacing: write max-size batches directly,
@@ -326,11 +207,21 @@ fn sender_ignoring_busy_past_the_hard_limit_is_dropped() {
         }
     };
     assert!(sent > 4, "more than one batch went out");
-    assert!(
-        server_thread.join().unwrap().is_none(),
-        "connection dropped"
+
+    assert_eq!(
+        server.wait_for_reports(2),
+        1,
+        "only the healthy feed reports"
     );
-    assert_eq!(server.stats().connections_dropped, 1);
+    let hub = hub_recording_reactor(&server);
+    assert_eq!(server.scan_and_decide(&hub, 16_384), 1);
+    assert_eq!(vec![healthy.join().unwrap()], baseline);
+    let stats = server.stats();
+    assert_eq!(stats.connections_dropped, 1, "only the rogue dropped");
+    assert_eq!(stats.drops.get(DropCause::Overrun), 1, "under Overrun");
+    drop(t);
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]
@@ -340,36 +231,23 @@ fn tcp_loopback_smoke_or_skip() {
         return;
     };
     const FEEDS: usize = 2;
+    let baseline = direct_decisions(SEED, FEEDS);
     let server = fresh_server(6_000, 2_048);
-    let config = server.with_service(|s| s.config().action.clone());
-    let mut server_threads = Vec::new();
-    let mut handles = Vec::new();
+    let reactor = server.start();
+    let config = action_config(&server);
+    let mut clients = Vec::new();
     for _ in 0..FEEDS {
         let transport = std::net::TcpStream::connect(addr).expect("connect loopback");
-        let conn = listener.accept_conn().expect("accept loopback");
-        let server_clone = server.clone();
-        server_threads.push(std::thread::spawn(move || server_clone.serve(conn)));
-        handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).expect("handshake"));
+        server.register(listener.accept_conn().expect("accept loopback"));
+        let feed = FeedHandle::connect(transport, &[WireCodec::I16Delta]).expect("handshake");
+        clients.push(spawn_client(feed, &config));
     }
-    let clients: Vec<_> = handles
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).unwrap();
-                feed.finish().unwrap();
-                feed.await_decision().unwrap()
-            })
-        })
-        .collect();
     assert_eq!(server.wait_for_reports(FEEDS), FEEDS);
-    let hub = hub_recording(&server);
+    let hub = hub_recording_reactor(&server);
     assert_eq!(server.scan_and_decide(&hub, 16_384), FEEDS);
-    for c in clients {
-        assert!(c.join().unwrap().is_granted());
-    }
-    for s in server_threads {
-        assert!(s.join().unwrap().is_some());
-    }
+    let decisions: Vec<AuthDecision> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+    assert_eq!(decisions, baseline, "TCP transport diverged from direct");
+    assert_eq!(server.stats().connections_dropped, 0);
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }

@@ -1,23 +1,20 @@
-//! Readiness-reactor conformance: [`ReactorServer`] must be
-//! wire-indistinguishable from the threaded [`piano::net::ServerLoop`]
-//! — and therefore from direct ingestion.
+//! Gateway conformance: [`ReactorServer`] must decide exactly as direct
+//! `AuthService` ingestion of the same quantized recordings does.
 //!
 //! * **Fleet conformance:** decisions for 100 concurrent feeds ingested
 //!   through the reactor — codec off on one shard, i16-delta on four
 //!   shards — are identical to feeding the same quantized recordings
 //!   into an unsharded `AuthService` directly. Shard-strided session
 //!   ids are an implementation detail the wire never sees.
-//! * **Fault conformance:** the survivable-fault schedule from
-//!   `tests/fault_injection.rs` (write cut, read cut, chaos), with
-//!   clients resuming through the reactor's suspension registry, still
-//!   matches the direct baseline byte for byte.
+//! * **Fault conformance:** a survivable-fault schedule (write cut, read
+//!   cut, chaos), with clients resuming through the reactor's suspension
+//!   registry, still matches the direct baseline byte for byte.
 //! * Shedding stays typed (`PianoError::Overloaded` + hint) and a
 //!   retrying client is admitted when the backlog drains; a stalled
 //!   feed times out alone under `DropCause::Timeout` within its idle
 //!   deadline; the `_timeout` wait returns typed errors.
 
 use std::io;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
@@ -25,7 +22,7 @@ use rand_chacha::ChaCha8Rng;
 
 use piano::core::error::PianoError;
 use piano::net::fault::{FaultPlan, FaultyTransport};
-use piano::net::fixtures::{feed_recording, hub_recording_for, hub_recording_reactor};
+use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
 use piano::net::transport::{memory_hub, Listener, MemoryListener, MemoryStream, Transport};
 use piano::net::{FeedHandle, ReactorServer, ResilientFeed, RetryPolicy, ServerConfig};
 use piano::prelude::*;
@@ -59,39 +56,6 @@ fn spawn_register_loop(server: &ReactorServer, mut listener: MemoryListener) {
             server.register(conn);
         }
     });
-}
-
-/// The fleet without any transport: voucher sessions fed directly into
-/// an unsharded service, reports routed by hand, hub scanned on the
-/// service. Seeded exactly like the reactor runs — the baseline every
-/// reactor configuration must reproduce.
-fn direct_decisions(feeds: usize) -> Vec<AuthDecision> {
-    let mut service = AuthService::new(PianoConfig::with_threshold(1.0));
-    let mut rng = ChaCha8Rng::seed_from_u64(SEED);
-    let config = service.config().action.clone();
-    let mut ids = Vec::with_capacity(feeds);
-    for _ in 0..feeds {
-        let id = service.open_session(false, &mut rng);
-        let challenge = service.poll_transmit(id).expect("challenge");
-        let mut voucher = AuthSession::voucher_with(Arc::clone(service.detector()));
-        let rec = feed_recording(&challenge, &config);
-        voucher.handle_message(challenge).expect("challenge ok");
-        for chunk in rec.chunks(1_024) {
-            let _ = voucher.push_audio(chunk);
-        }
-        let _ = voucher.finish_audio();
-        let report = voucher.poll_transmit().expect("report");
-        service.handle_message(id, report).expect("routed");
-        ids.push(id);
-    }
-    let hub = hub_recording_for(&service, &ids);
-    for chunk in hub.chunks(16_384) {
-        let _ = service.push_audio(chunk);
-    }
-    let _ = service.finish_audio();
-    ids.iter()
-        .map(|id| service.decision(*id).expect("decided").clone())
-        .collect()
 }
 
 /// Runs `feeds` concurrent clients through a fresh reactor over
@@ -185,7 +149,7 @@ fn reactor_fleet_runs_under_the_env_selected_codec() {
 #[test]
 fn reactor_decisions_match_direct_ingestion_for_100_feeds() {
     const FEEDS: usize = 100;
-    let direct = direct_decisions(FEEDS);
+    let direct = direct_decisions(SEED, FEEDS);
     for d in &direct {
         match d {
             AuthDecision::Granted { distance_m } => {
@@ -209,7 +173,7 @@ fn reactor_decisions_match_direct_ingestion_for_100_feeds() {
 #[test]
 fn reactor_survivable_faults_yield_byte_identical_decisions() {
     const FEEDS: usize = 4;
-    let baseline = direct_decisions(FEEDS);
+    let baseline = direct_decisions(SEED, FEEDS);
 
     let server = reactor_server(1, |cfg| {
         cfg.resume_window = Duration::from_secs(10);
@@ -323,7 +287,7 @@ fn reactor_survivable_faults_yield_byte_identical_decisions() {
 #[test]
 fn reactor_stalled_feed_times_out_alone_within_the_deadline() {
     const GOOD: usize = 3;
-    let baseline = direct_decisions(GOOD);
+    let baseline = direct_decisions(SEED, GOOD);
 
     let server = reactor_server(1, |cfg| {
         cfg.idle_timeout = Duration::from_millis(200);

@@ -21,9 +21,9 @@ use piano::core::detect::{Detector, ScanResult, SignalSignature};
 use piano::core::stream::StreamEvent;
 use piano::core::wire::WireCodec;
 use piano::dsp::simd::{self, DspBackend};
-use piano::net::fixtures::{feed_recording, hub_recording};
+use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
 use piano::net::transport::{memory_hub, Listener};
-use piano::net::{FeedHandle, ServerConfig, ServerLoop};
+use piano::net::{FeedHandle, ReactorServer, ServerConfig};
 use piano::prelude::*;
 
 /// Serializes backend forcing across this binary's test threads.
@@ -81,25 +81,29 @@ fn streaming_scenario() -> (Vec<StreamEvent>, ScanResult) {
     (events, stream.finish())
 }
 
+/// Session randomness of the transport scenario's gateway.
+const SEED: u64 = 0xF1EE7;
+
 /// The net-transport conformance scenario: `feeds` concurrent clients
-/// over the in-memory transport into one `ServerLoop`, hub scanned once.
-/// Returns decisions in handshake order.
+/// over the in-memory transport into one `ReactorServer`, hub scanned
+/// once. Returns decisions in handshake order.
 fn transport_scenario(feeds: usize, codec: WireCodec) -> Vec<AuthDecision> {
-    let server = ServerLoop::new(
-        AuthService::new(PianoConfig::with_threshold(1.0)),
-        ChaCha8Rng::seed_from_u64(0xF1EE7),
+    let server = ReactorServer::new(
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
+        ChaCha8Rng::seed_from_u64(SEED),
         ServerConfig::default(),
     );
+    let reactor = server.start();
     let (connector, mut listener) = memory_hub();
-    let config = server.with_service(|s| s.config().action.clone());
+    let config = server
+        .service()
+        .with_default(|s| s.config().action.clone())
+        .expect("shard 0 exists");
 
     let mut handles = Vec::with_capacity(feeds);
-    let mut server_threads = Vec::with_capacity(feeds);
     for _ in 0..feeds {
         let transport = connector.connect().expect("hub open");
-        let server_clone = server.clone();
-        let conn = listener.accept_conn().expect("accept");
-        server_threads.push(std::thread::spawn(move || server_clone.serve(conn)));
+        server.register(listener.accept_conn().expect("accept"));
         handles.push(FeedHandle::connect(transport, &[codec]).expect("handshake"));
     }
     let client_threads: Vec<_> = handles
@@ -116,15 +120,14 @@ fn transport_scenario(feeds: usize, codec: WireCodec) -> Vec<AuthDecision> {
         .collect();
 
     assert_eq!(server.wait_for_reports(feeds), feeds, "every feed reports");
-    let hub = hub_recording(&server);
+    let hub = hub_recording_reactor(&server);
     assert_eq!(server.scan_and_decide(&hub, 16_384), feeds);
     let decisions: Vec<AuthDecision> = client_threads
         .into_iter()
         .map(|t| t.join().expect("client thread"))
         .collect();
-    for t in server_threads {
-        let _ = t.join().expect("server thread");
-    }
+    server.shutdown();
+    reactor.join().expect("reactor thread");
     decisions
 }
 
@@ -148,14 +151,18 @@ fn streaming_events_and_finish_are_identical_on_every_backend() {
 #[test]
 fn transport_decisions_are_identical_on_every_backend() {
     for codec in [WireCodec::Raw, WireCodec::I16Delta] {
-        let runs = per_backend(|| transport_scenario(8, codec));
-        let (_, ref scalar) = runs[0];
+        let runs = per_backend(|| (transport_scenario(8, codec), direct_decisions(SEED, 8)));
+        let (_, (ref scalar, _)) = runs[0];
         assert_eq!(scalar.len(), 8);
         assert!(
             scalar.iter().all(|d| d.is_granted()),
             "the 0.50 m fixture geometry must grant under every codec"
         );
-        for (backend, decisions) in &runs[1..] {
+        for (backend, (decisions, direct)) in &runs {
+            assert_eq!(
+                decisions, direct,
+                "{backend}/{codec:?}: transport diverged from direct ingestion"
+            );
             assert_eq!(
                 decisions, scalar,
                 "{backend}/{codec:?}: decisions diverged from scalar"

@@ -13,46 +13,51 @@
 //!   once" property assertable.
 //! * **Server resume-attach busy-poll:** a `Resume` probe racing the
 //!   suspension of the connection it resumes used to spin on the
-//!   registry at a fixed tick. It now waits on a condvar that
-//!   `ServerLoop::park` signals, so the attach is prompt and the
-//!   handshake deadline is honored without overshoot.
+//!   registry at a fixed tick. The gateway now parks the probe as a
+//!   connection state that the losing connection's teardown adopts
+//!   directly, so the attach is prompt, and an unmatched probe is
+//!   rejected by its handshake deadline on the timer wheel without
+//!   overshoot.
 
 use std::io;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use piano::core::error::PianoError;
-use piano::net::fixtures::{feed_recording, hub_recording};
+use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
 use piano::net::transport::{
-    memory_hub, memory_pair, Listener, MemoryListener, MemoryStream, Transport,
+    memory_hub, memory_pair, Listener, MemoryConnector, MemoryStream, Transport,
 };
-use piano::net::{FeedHandle, ResilientFeed, RetryPolicy, ServerConfig, ServerLoop};
+use piano::net::{FeedHandle, ReactorServer, ResilientFeed, RetryPolicy, ServerConfig};
 use piano::prelude::*;
 
 const SEED: u64 = 0xBACC0FF;
 
-fn server_with(tweak: impl FnOnce(&mut ServerConfig)) -> ServerLoop {
+/// A running gateway behind an in-memory hub whose every connection is
+/// registered with it: the returned connector dials the gateway, and the
+/// handle joins its reactor thread after `shutdown`.
+fn gateway(
+    tweak: impl FnOnce(&mut ServerConfig),
+) -> (ReactorServer, MemoryConnector, JoinHandle<()>) {
     let mut cfg = ServerConfig::default();
     tweak(&mut cfg);
-    ServerLoop::new(
-        AuthService::new(PianoConfig::with_threshold(1.0)),
+    let server = ReactorServer::new(
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(SEED),
         cfg,
-    )
-}
-
-fn spawn_accept_loop(server: &ServerLoop, mut listener: MemoryListener) {
-    let server = server.clone();
+    );
+    let reactor = server.start();
+    let (connector, mut listener) = memory_hub();
+    let registrar = server.clone();
     std::thread::spawn(move || {
         while let Ok(conn) = listener.accept_conn() {
-            let s = server.clone();
-            std::thread::spawn(move || {
-                let _ = s.serve(conn);
-            });
+            registrar.register(conn);
         }
     });
+    (server, connector, reactor)
 }
 
 /// A transport whose peer immediately answers the handshake with a
@@ -79,9 +84,7 @@ fn shed_sleeps_once_with_the_hint_clamped() {
     // backoff_total exactly equal to the clamped hint — the pre-fix code
     // would have slept 1 h (uncapped hint), or hint + jittered backoff
     // (double sleep), both visible here as a bigger backoff_total.
-    let server = server_with(|_| {});
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
+    let (server, connector, reactor) = gateway(|_| {});
 
     let (shed_client, _shed_peer) = shed_transport(3_600_000);
     let mut scripted = vec![shed_client];
@@ -117,6 +120,8 @@ fn shed_sleeps_once_with_the_hint_clamped() {
         Duration::from_millis(200),
         "exactly one sleep, exactly the clamped hint"
     );
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]
@@ -127,9 +132,7 @@ fn repeated_sheds_back_off_past_a_short_hint() {
     // j ∈ [0.5, 1.0). Sleeping the bare hint would total 4 ms, so a
     // client shed by a full server would exhaust its attempts at the
     // hint's fixed pace instead of backing off.
-    let server = server_with(|_| {});
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
+    let (server, connector, reactor) = gateway(|_| {});
 
     let (mut scripted, peers): (Vec<_>, Vec<_>) = (0..4).map(|_| shed_transport(1)).unzip();
     let dial = move || -> io::Result<MemoryStream> {
@@ -155,13 +158,13 @@ fn repeated_sheds_back_off_past_a_short_hint() {
         stats.backoff_total
     );
     drop(peers);
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]
 fn transport_failures_sleep_one_jittered_backoff_each() {
-    let server = server_with(|_| {});
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
+    let (server, connector, reactor) = gateway(|_| {});
 
     let mut failures = 2u32;
     let dial = move || -> io::Result<MemoryStream> {
@@ -189,6 +192,8 @@ fn transport_failures_sleep_one_jittered_backoff_each() {
         "backoff_total {:?} outside one-sleep-per-attempt bounds",
         stats.backoff_total
     );
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]
@@ -222,15 +227,17 @@ fn exhausted_attempts_surface_the_shed_without_sleeping() {
 #[test]
 fn resume_probe_racing_the_suspension_attaches_promptly() {
     // The probe arrives while the connection it resumes is still
-    // attached; the suspension lands 150 ms later. The condvar in the
-    // server's resume wait must pick the entry up immediately — and the
+    // attached; the suspension lands 150 ms later. The gateway must hand
+    // the suspended feed to the parked probe immediately — and the
     // resumed stream must still conclude with a verdict.
-    let server = server_with(|cfg| {
+    let baseline = direct_decisions(SEED, 1);
+    let (server, connector, reactor) = gateway(|cfg| {
         cfg.resume_window = Duration::from_secs(10);
     });
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
-    let config = server.with_service(|s| s.config().action.clone());
+    let config = server
+        .service()
+        .with_default(|s| s.config().action.clone())
+        .expect("shard 0 exists");
 
     let mut feed = FeedHandle::connect(connector.connect().unwrap(), &[WireCodec::I16Delta])
         .expect("handshake");
@@ -240,8 +247,8 @@ fn resume_probe_racing_the_suspension_attaches_promptly() {
     let chunks: Vec<Vec<f64>> = rec.chunks(1_024).map(<[f64]>::to_vec).collect();
     feed.send_batch(&chunks[0..4]).expect("first batch");
 
-    // The probe dials and blocks in the server's resume wait: its
-    // session is not suspended yet.
+    // The probe dials and parks at the gateway: its session is not
+    // suspended yet.
     let probe_transport = connector.connect().unwrap();
     let probe = std::thread::spawn(move || {
         let resumed = FeedHandle::resume(probe_transport, session, 4, codec);
@@ -249,8 +256,8 @@ fn resume_probe_racing_the_suspension_attaches_promptly() {
     });
     std::thread::sleep(Duration::from_millis(150));
 
-    // Now cut the original transport: the serve thread suspends the
-    // feed, park() signals, and the waiting probe adopts it.
+    // Now cut the original transport: the gateway suspends the feed and
+    // hands it straight to the parked probe.
     let cut_at = Instant::now();
     drop(feed.into_transport());
     let (resumed, attached_at) = probe.join().expect("probe thread");
@@ -259,7 +266,7 @@ fn resume_probe_racing_the_suspension_attaches_promptly() {
     assert!(ack_seq <= 4, "server cursor never exceeds what was sent");
     assert!(
         attached_at.duration_since(cut_at) < Duration::from_secs(2),
-        "attach after {:?} — the registry wait polled instead of waking",
+        "attach after {:?} — the parked probe polled instead of waking",
         attached_at.duration_since(cut_at)
     );
 
@@ -270,14 +277,20 @@ fn resume_probe_racing_the_suspension_attaches_promptly() {
     }
     handle.finish().expect("stream end");
     assert_eq!(server.wait_for_reports(1), 1);
-    let hub = hub_recording(&server);
+    let hub = hub_recording_reactor(&server);
     assert_eq!(server.scan_and_decide(&hub, 16_384), 1);
-    assert!(handle.await_decision().expect("verdict").is_granted());
+    assert_eq!(
+        vec![handle.await_decision().expect("verdict")],
+        baseline,
+        "the resumed feed decides like direct ingestion"
+    );
 
     let stats = server.stats();
     assert_eq!(stats.resumes, 1, "the probe's attach was acked");
     assert_eq!(stats.connections_suspended, 1);
     assert_eq!(stats.connections_dropped, 0, "a resumed feed is no drop");
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]
@@ -285,12 +298,10 @@ fn unknown_session_resume_rejects_at_the_handshake_deadline() {
     // No suspension ever arrives: the probe must be rejected when the
     // handshake deadline lapses — promptly after it, not on some coarser
     // polling grid, and never before it.
-    let server = server_with(|cfg| {
+    let (server, connector, reactor) = gateway(|cfg| {
         cfg.resume_window = Duration::from_secs(5);
         cfg.handshake_timeout = Duration::from_millis(300);
     });
-    let (connector, listener) = memory_hub();
-    spawn_accept_loop(&server, listener);
 
     let started = Instant::now();
     let err = FeedHandle::resume(connector.connect().unwrap(), 0xDEAD_BEEF, 0, WireCodec::Raw)
@@ -308,4 +319,6 @@ fn unknown_session_resume_rejects_at_the_handshake_deadline() {
         elapsed < Duration::from_millis(1_500),
         "rejected {elapsed:?} in — the deadline overshot"
     );
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
