@@ -1,38 +1,65 @@
 //! Chaos conformance for the transport layer: seeded faults must never
 //! change *what* the fleet decides, only *how* the bytes got there.
 //!
-//! * A proptest sweeps [`FaultPlan::chaos`] seeds: segmentation and
-//!   latency chaos alone (no cuts) never changes decisions against
-//!   direct `AuthService` ingestion.
+//! * **Survivable schedules** (short reads/writes, latency, mid-stream
+//!   disconnects with resume enabled) on a four-shard gateway yield
+//!   decisions byte-identical to direct `AuthService` ingestion — the
+//!   resume protocol replays exactly the samples the gateway never
+//!   accepted.
+//! * **Unsurvivable schedules** (a stalled feed under a gateway with no
+//!   resume window) drop only the afflicted feed, within its idle
+//!   deadline, under the right [`DropCause`]; healthy feeds' decisions
+//!   still match the direct baseline.
+//! * **Overload shedding** with two admission slots turns excess
+//!   `Hello`s into typed [`PianoError::Overloaded`] retry hints, and
+//!   retrying clients are admitted once the backlog drains.
 //! * The client's `_timeout` API variants return typed
 //!   [`PianoError::Timeout`] instead of blocking forever, and a client
 //!   that gives up is counted as a `DropCause::Disconnect`.
+//! * A proptest sweeps [`FaultPlan::chaos`] seeds: segmentation and
+//!   latency chaos alone (no cuts) never changes decisions against
+//!   direct `AuthService` ingestion.
 //!
-//! Survivable cut-and-resume schedules, a stalled feed timing out alone,
-//! and overload shedding are pinned against the gateway in
-//! `tests/reactor_conformance.rs`.
+//! The first three scenarios live in `tests/support`, shared with the
+//! single-shard runs in `tests/reactor_conformance.rs`.
+
+mod support;
 
 use std::time::Duration;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 use piano::core::error::PianoError;
 use piano::net::fault::{FaultPlan, FaultyTransport};
 use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
 use piano::net::transport::{memory_hub, Listener};
-use piano::net::{FeedHandle, ReactorServer, ServerConfig};
+use piano::net::{FeedHandle, ReactorServer};
 use piano::prelude::*;
+
+use support::{
+    action_config, reactor_server, shedding_recovers, stalled_feed_times_out_alone,
+    survivable_faults_match_direct,
+};
 
 const SEED: u64 = 0xFA17;
 
 fn fresh_server() -> ReactorServer {
-    ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
-        ChaCha8Rng::seed_from_u64(SEED),
-        ServerConfig::default(),
-    )
+    reactor_server(SEED, 1, |_| {})
+}
+
+#[test]
+fn survivable_faults_yield_byte_identical_decisions() {
+    survivable_faults_match_direct(SEED, 4);
+}
+
+#[test]
+fn stalled_feed_times_out_alone_within_the_deadline() {
+    stalled_feed_times_out_alone(SEED, 2);
+}
+
+#[test]
+fn overload_shedding_is_typed_and_recoverable() {
+    shedding_recovers(SEED, 2, 4);
 }
 
 #[test]
@@ -71,10 +98,7 @@ proptest! {
         let server = fresh_server();
         let reactor = server.start();
         let (connector, mut listener) = memory_hub();
-        let config = server
-            .service()
-            .with_default(|s| s.config().action.clone())
-            .expect("shard 0 exists");
+        let config = action_config(&server);
         let mut handles = Vec::with_capacity(FEEDS);
         for i in 0..FEEDS {
             let t = FaultyTransport::new(

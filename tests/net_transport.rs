@@ -1,8 +1,14 @@
-//! End-to-end transport checks for the gateway's edge cases; the
-//! 100-feed fleet conformance lives in `tests/reactor_conformance.rs`.
+//! End-to-end transport conformance: the byte-stream layer must move
+//! audio without changing results.
 //!
 //! * Framed messages survive any segmentation of a real transport's byte
 //!   stream (threads, partial reads — not just the sans-IO reader).
+//! * **Server-loop conformance:** decisions for 100 concurrent feeds
+//!   ingested through the gateway — codec off on four shards, i16-delta
+//!   on one — are identical to feeding the same quantized recordings
+//!   into an `AuthService` directly (`tests/reactor_conformance.rs`
+//!   runs the other two pairings), and so is a small fleet under the
+//!   environment-selected codec.
 //! * A connection that loses framing, or ignores `Busy` past the hard
 //!   limit, is dropped alone: its cause is counted and every other feed
 //!   still decides exactly as direct `AuthService` ingestion does.
@@ -10,36 +16,25 @@
 //!   the reactor serves in probe mode, having no readiness signal for
 //!   them — auto-skipping where binding 127.0.0.1 fails.
 
-use std::thread::JoinHandle;
+mod support;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
+use std::thread::JoinHandle;
 
 use piano::core::wire::{FrameReader, Message, WireCodec};
 use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
 use piano::net::transport::{memory_hub, memory_pair, tcp_loopback, Listener, Transport};
-use piano::net::{FeedHandle, ReactorServer, ServerConfig};
+use piano::net::{FeedHandle, ReactorServer};
 use piano::prelude::*;
+
+use support::{action_config, fleet_decisions, reactor_server};
 
 const SEED: u64 = 0xF1EE7;
 
 fn fresh_server(high_water: usize, drain_chunk: usize) -> ReactorServer {
-    ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
-        ChaCha8Rng::seed_from_u64(SEED),
-        ServerConfig {
-            high_water,
-            drain_chunk,
-            ..ServerConfig::default()
-        },
-    )
-}
-
-fn action_config(server: &ReactorServer) -> ActionConfig {
-    server
-        .service()
-        .with_default(|s| s.config().action.clone())
-        .expect("shard 0 exists")
+    reactor_server(SEED, 1, |cfg| {
+        cfg.high_water = high_water;
+        cfg.drain_chunk = drain_chunk;
+    })
 }
 
 /// Streams the feed's fixture recording on its own thread and returns
@@ -111,6 +106,26 @@ fn framed_stream_survives_any_transport_segmentation() {
     }
     assert_eq!(got, msgs);
     drop(writer.join().unwrap());
+}
+
+#[test]
+fn fleet_runs_under_the_env_selected_codec() {
+    // The CI matrix sets PIANO_WIRE_CODEC ∈ {off, i16-delta}; this fleet
+    // negotiates whatever the environment selected, so the suite's wire
+    // traffic genuinely differs between matrix entries.
+    let decisions = fleet_decisions(SEED, 3, WireCodec::from_env(), 1);
+    assert_eq!(decisions, direct_decisions(SEED, 3));
+}
+
+#[test]
+fn server_loop_decisions_match_direct_ingestion_for_100_feeds() {
+    const FEEDS: usize = 100;
+    let direct = direct_decisions(SEED, FEEDS);
+    assert!(direct.iter().all(AuthDecision::is_granted));
+    let raw = fleet_decisions(SEED, FEEDS, WireCodec::Raw, 4);
+    let compressed = fleet_decisions(SEED, FEEDS, WireCodec::I16Delta, 1);
+    assert_eq!(raw, direct, "codec-off four-shard gateway diverged");
+    assert_eq!(compressed, direct, "i16-delta gateway diverged from direct");
 }
 
 #[test]

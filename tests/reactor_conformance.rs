@@ -13,136 +13,33 @@
 //!   retrying client is admitted when the backlog drains; a stalled
 //!   feed times out alone under `DropCause::Timeout` within its idle
 //!   deadline; the `_timeout` wait returns typed errors.
+//!
+//! The scenarios live in `tests/support`; `tests/fault_injection.rs` and
+//! `tests/net_transport.rs` run them under other seeds, shard counts,
+//! codecs and admission limits.
 
-use std::io;
+mod support;
+
 use std::time::{Duration, Instant};
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use piano::core::error::PianoError;
-use piano::net::fault::{FaultPlan, FaultyTransport};
 use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
-use piano::net::transport::{memory_hub, Listener, MemoryListener, MemoryStream, Transport};
-use piano::net::{FeedHandle, ReactorServer, ResilientFeed, RetryPolicy, ServerConfig};
+use piano::net::transport::{memory_hub, Transport};
+use piano::net::FeedHandle;
 use piano::prelude::*;
 
+use support::{
+    action_config, fleet_decisions, reactor_server, shedding_recovers, spawn_register_loop,
+    stalled_feed_times_out_alone, survivable_faults_match_direct,
+};
+
 const SEED: u64 = 0xF1EE7;
-
-fn reactor_server(shards: usize, tweak: impl FnOnce(&mut ServerConfig)) -> ReactorServer {
-    let mut cfg = ServerConfig::default();
-    tweak(&mut cfg);
-    ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), shards),
-        ChaCha8Rng::seed_from_u64(SEED),
-        cfg,
-    )
-}
-
-fn action_config(server: &ReactorServer) -> ActionConfig {
-    server
-        .service()
-        .with_default(|s| s.config().action.clone())
-        .expect("shard 0 exists")
-}
-
-/// Registers every accepted connection with the reactor until the hub
-/// closes — resumed connections arrive at unpredictable times, so the
-/// fixed-count accept pattern does not fit fault runs.
-fn spawn_register_loop(server: &ReactorServer, mut listener: MemoryListener) {
-    let server = server.clone();
-    std::thread::spawn(move || {
-        while let Ok(conn) = listener.accept_conn() {
-            server.register(conn);
-        }
-    });
-}
-
-/// Runs `feeds` concurrent clients through a fresh reactor over
-/// `shards` service shards with `codec`, returning decisions in
-/// handshake order.
-fn reactor_decisions(feeds: usize, codec: WireCodec, shards: usize) -> Vec<AuthDecision> {
-    let server = reactor_server(shards, |_| {});
-    let reactor = server.start();
-    let (connector, mut listener) = memory_hub();
-    let config = action_config(&server);
-
-    // Handshakes run sequentially (`FeedHandle::connect` blocks on the
-    // Accept) so session randomness binds to feed index exactly as in
-    // the direct run; streaming is fully concurrent on the client side.
-    let mut handles = Vec::with_capacity(feeds);
-    for _ in 0..feeds {
-        let transport = connector.connect().expect("hub open");
-        let conn = listener.accept_conn().expect("accept");
-        server.register(conn);
-        handles.push(FeedHandle::connect(transport, &[codec]).expect("handshake"));
-    }
-    let clients: Vec<_> = handles
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                assert_eq!(feed.codec(), codec, "reactor honors the offer");
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).expect("stream");
-                feed.finish().expect("stream end");
-                feed.await_decision().expect("verdict")
-            })
-        })
-        .collect();
-
-    assert_eq!(server.wait_for_reports(feeds), feeds, "every feed reports");
-    // The zero-copy scan entry point: the reactor borrows this shared
-    // recording instead of cloning the waveform into its inbox.
-    let hub: std::sync::Arc<[f64]> = hub_recording_reactor(&server).into();
-    assert_eq!(
-        server.scan_and_decide_arc(hub, 16_384),
-        feeds,
-        "every session decides"
-    );
-    let decisions: Vec<AuthDecision> = clients
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect();
-
-    // The verdict each client received is the one the reactor recorded
-    // for that feed's session.
-    let ids = server.session_ids();
-    assert_eq!(ids.len(), feeds);
-    let outcomes = server.outcomes();
-    for (id, decision) in ids.iter().zip(&decisions) {
-        let recorded = outcomes.iter().find(|(oid, _)| oid == id).map(|(_, d)| d);
-        assert_eq!(recorded, Some(decision), "outcome mismatch for {id:?}");
-    }
-
-    let stats = server.stats();
-    assert_eq!(stats.connections, feeds as u64);
-    assert_eq!(stats.connections_dropped, 0);
-    assert_eq!(stats.sessions_decided, feeds as u64);
-    assert_eq!(stats.busy_replies, stats.credit_replies);
-    match codec {
-        WireCodec::Raw => assert_eq!(stats.wire_audio_bytes, stats.raw_audio_bytes),
-        WireCodec::I16Delta => assert!(
-            stats.compression_ratio() >= 3.5,
-            "fleet compression only {:.2}x",
-            stats.compression_ratio()
-        ),
-    }
-    assert!(
-        server.peak_conn_bytes() > 0,
-        "footprint accounting saw the fleet"
-    );
-
-    server.shutdown();
-    reactor.join().expect("reactor thread");
-    decisions
-}
 
 #[test]
 fn reactor_fleet_runs_under_the_env_selected_codec() {
     // The CI matrix sets PIANO_WIRE_CODEC ∈ {off, i16-delta}; a small
     // fleet on two shards negotiates whatever the environment selected.
-    let decisions = reactor_decisions(3, WireCodec::from_env(), 2);
+    let decisions = fleet_decisions(SEED, 3, WireCodec::from_env(), 2);
     assert!(decisions.iter().all(AuthDecision::is_granted));
 }
 
@@ -161,8 +58,8 @@ fn reactor_decisions_match_direct_ingestion_for_100_feeds() {
             other => panic!("direct path denied: {other:?}"),
         }
     }
-    let raw = reactor_decisions(FEEDS, WireCodec::Raw, 1);
-    let compressed = reactor_decisions(FEEDS, WireCodec::I16Delta, 4);
+    let raw = fleet_decisions(SEED, FEEDS, WireCodec::Raw, 1);
+    let compressed = fleet_decisions(SEED, FEEDS, WireCodec::I16Delta, 4);
     assert_eq!(raw, direct, "codec-off reactor diverged from direct");
     assert_eq!(
         compressed, direct,
@@ -172,257 +69,22 @@ fn reactor_decisions_match_direct_ingestion_for_100_feeds() {
 
 #[test]
 fn reactor_survivable_faults_yield_byte_identical_decisions() {
-    const FEEDS: usize = 4;
-    let baseline = direct_decisions(SEED, FEEDS);
-
-    let server = reactor_server(1, |cfg| {
-        cfg.resume_window = Duration::from_secs(10);
-    });
-    let reactor = server.start();
-    let (connector, listener) = memory_hub();
-    spawn_register_loop(&server, listener);
-    let config = action_config(&server);
-
-    // Sequential handshakes on fault-wrapped transports (no plan cuts
-    // the handshake itself, so session randomness binds to feed order
-    // exactly as in the direct run), then script per-feed cuts relative
-    // to the bytes each link has actually seen.
-    let mut fleet = Vec::with_capacity(FEEDS);
-    for i in 0..FEEDS {
-        let plan = match i {
-            // Feed 0 runs clean; feed 1 loses its write direction in the
-            // middle of an audio batch; feed 2 loses its read direction
-            // just past the handshake; feed 3 suffers seeded
-            // segmentation + latency chaos, no cuts.
-            0 => FaultPlan::clean(SEED),
-            1 => FaultPlan::clean(SEED + 1).with_write_disconnect(4_000),
-            2 => FaultPlan::clean(SEED + 2),
-            _ => FaultPlan::chaos(SEED + 3),
-        };
-        let t = FaultyTransport::new(connector.connect().expect("hub open"), plan);
-        let mut handle =
-            FeedHandle::connect(t, &[WireCodec::I16Delta]).expect("faulty handshake survives");
-        if i == 2 {
-            let seen = handle.transport_mut().read_bytes();
-            handle.transport_mut().set_read_disconnect(seen + 10);
-        }
-        let connector = connector.clone();
-        let mut redials = 0u64;
-        let dial = move || -> io::Result<FaultyTransport<MemoryStream>> {
-            redials += 1;
-            Ok(FaultyTransport::new(
-                connector.connect()?,
-                FaultPlan::clean(SEED ^ redials),
-            ))
-        };
-        fleet.push(ResilientFeed::adopt(
-            handle,
-            dial,
-            RetryPolicy {
-                jitter_seed: SEED + i as u64,
-                ..RetryPolicy::default()
-            },
-        ));
-    }
-
-    let clients: Vec<_> = fleet
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.handle().challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4)
-                    .expect("stream survives faults");
-                let decision = feed
-                    .finish_and_await(Duration::from_secs(60))
-                    .expect("verdict survives faults");
-                (decision, feed.stats())
-            })
-        })
-        .collect();
-
-    assert_eq!(
-        server
-            .wait_for_reports_timeout(FEEDS, Duration::from_secs(60))
-            .expect("every feed reports despite faults"),
-        FEEDS
-    );
-    let hub = hub_recording_reactor(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), FEEDS);
-
-    let results: Vec<(AuthDecision, piano::net::FeedStats)> =
-        clients.into_iter().map(|t| t.join().unwrap()).collect();
-    let decisions: Vec<AuthDecision> = results.iter().map(|(d, _)| d.clone()).collect();
-    assert_eq!(
-        decisions, baseline,
-        "faulted reactor fleet diverged from the direct run"
-    );
-
-    let client_resumes: u64 = results.iter().map(|(_, s)| s.resumes).sum();
-    assert!(
-        client_resumes >= 2,
-        "both cut feeds resumed: {client_resumes}"
-    );
-    let stats = server.stats();
-    assert!(
-        stats.resumes >= 2,
-        "the reactor acked the resumes: {}",
-        stats.resumes
-    );
-    assert!(
-        stats.connections_suspended >= 1,
-        "a mid-stream loss suspended: {}",
-        stats.connections_suspended
-    );
-    assert_eq!(
-        stats.drops.total(),
-        stats.connections_dropped,
-        "per-cause drops account for every drop"
-    );
-    assert_eq!(stats.sessions_decided, FEEDS as u64);
-    server.shutdown();
-    reactor.join().expect("reactor thread");
+    survivable_faults_match_direct(SEED, 1);
 }
 
 #[test]
 fn reactor_stalled_feed_times_out_alone_within_the_deadline() {
-    const GOOD: usize = 3;
-    let baseline = direct_decisions(SEED, GOOD);
-
-    let server = reactor_server(1, |cfg| {
-        cfg.idle_timeout = Duration::from_millis(200);
-    });
-    let reactor = server.start();
-    let (connector, mut listener) = memory_hub();
-    let config = action_config(&server);
-
-    // Healthy feeds handshake first (their session randomness matches
-    // the 3-feed baseline); the staller connects last.
-    let mut handles = Vec::new();
-    for _ in 0..GOOD + 1 {
-        let transport = connector.connect().unwrap();
-        let conn = listener.accept_conn().unwrap();
-        server.register(conn);
-        handles.push(FeedHandle::connect(transport, &[WireCodec::I16Delta]).unwrap());
-    }
-    let mut stalled = handles.pop().unwrap();
-    stalled.send_batch(&[vec![0.25; 512]]).unwrap();
-    // ... and then nothing: the connection stays open but silent.
-
-    let clients: Vec<_> = handles
-        .into_iter()
-        .map(|mut feed| {
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let rec = feed_recording(feed.challenge(), &config);
-                feed.send_recording(&rec, 1_024, 4).unwrap();
-                feed.finish().unwrap();
-                feed.await_decision().unwrap()
-            })
-        })
-        .collect();
-
-    let waited = Instant::now();
-    let reported = server
-        .wait_for_reports_timeout(GOOD + 1, Duration::from_secs(30))
-        .expect("the stalled feed's drop unblocks the wait");
-    assert_eq!(reported, GOOD, "only healthy feeds report");
-    assert!(
-        waited.elapsed() < Duration::from_secs(10),
-        "the timer wheel fired the idle watchdog promptly"
-    );
-
-    let hub = hub_recording_reactor(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), GOOD);
-    let decisions: Vec<AuthDecision> = clients.into_iter().map(|t| t.join().unwrap()).collect();
-    assert_eq!(decisions, baseline, "healthy feeds unaffected by the stall");
-
-    let stats = server.stats();
-    assert_eq!(stats.connections_dropped, 1, "only the staller dropped");
-    assert_eq!(stats.drops.get(DropCause::Timeout), 1, "under Timeout");
-    drop(stalled);
-    server.shutdown();
-    reactor.join().expect("reactor thread");
+    stalled_feed_times_out_alone(SEED, 1);
 }
 
 #[test]
 fn reactor_shedding_is_typed_and_recoverable() {
-    const FEEDS: usize = 3;
-    let server = reactor_server(1, |cfg| {
-        cfg.max_active_feeds = 1;
-        cfg.retry_after_ms = 10;
-    });
-    let reactor = server.start();
-    let (connector, listener) = memory_hub();
-    spawn_register_loop(&server, listener);
-    let config = action_config(&server);
-
-    // Fill the single admission slot.
-    let first = FeedHandle::connect(connector.connect().unwrap(), &[WireCodec::I16Delta]).unwrap();
-
-    // The next Hello is shed with a typed, hint-carrying error — before
-    // any session state was allocated.
-    match FeedHandle::connect(connector.connect().unwrap(), &[WireCodec::I16Delta]) {
-        Err(PianoError::Overloaded { retry_after_ms }) => assert_eq!(retry_after_ms, 10),
-        other => panic!("expected Overloaded, got {other:?}"),
-    }
-
-    // Stream the admitted feed; retrying clients are admitted as the
-    // slot frees up at report time.
-    let mut clients = Vec::new();
-    {
-        let config = config.clone();
-        let mut feed = first;
-        clients.push(std::thread::spawn(move || {
-            let rec = feed_recording(feed.challenge(), &config);
-            feed.send_recording(&rec, 1_024, 4).unwrap();
-            feed.finish().unwrap();
-            feed.await_decision().unwrap()
-        }));
-    }
-    for i in 0..FEEDS - 1 {
-        let connector = connector.clone();
-        let config = config.clone();
-        clients.push(std::thread::spawn(move || {
-            let dial = move || connector.connect();
-            let mut feed = ResilientFeed::connect(
-                dial,
-                &[WireCodec::I16Delta],
-                RetryPolicy {
-                    max_attempts: 50,
-                    jitter_seed: SEED + i as u64,
-                    ..RetryPolicy::default()
-                },
-            )
-            .expect("admitted once the backlog drains");
-            assert!(feed.stats().sheds_seen > 0 || feed.stats().retries == 0);
-            let rec = feed_recording(feed.handle().challenge(), &config);
-            feed.send_recording(&rec, 1_024, 4).unwrap();
-            feed.finish_and_await(Duration::from_secs(60)).unwrap()
-        }));
-    }
-
-    assert_eq!(
-        server
-            .wait_for_reports_timeout(FEEDS, Duration::from_secs(60))
-            .expect("all three admitted and reported"),
-        FEEDS
-    );
-    let hub = hub_recording_reactor(&server);
-    assert_eq!(server.scan_and_decide(&hub, 16_384), FEEDS);
-    for c in clients {
-        assert!(c.join().unwrap().is_granted(), "every feed granted");
-    }
-    let stats = server.stats();
-    assert!(stats.connections_shed >= 1, "the probe was shed");
-    assert_eq!(stats.connections_dropped, 0, "shedding is not dropping");
-    server.shutdown();
-    reactor.join().expect("reactor thread");
+    shedding_recovers(SEED, 1, 3);
 }
 
 #[test]
 fn reactor_timeout_wait_is_typed() {
-    let server = reactor_server(1, |_| {});
+    let server = reactor_server(SEED, 1, |_| {});
     match server.wait_for_reports_timeout(1, Duration::from_millis(50)) {
         Err(PianoError::Timeout(_)) => {}
         other => panic!("expected Timeout, got {other:?}"),
@@ -437,7 +99,7 @@ fn reactor_sees_a_hangup_behind_a_partial_frame_in_the_same_edge() {
     // leave the feed parked until the idle timer (which *drops* instead
     // of suspending, stranding any resume probe). The suspension must
     // land promptly and the resumed stream must still conclude.
-    let server = reactor_server(2, |cfg| {
+    let server = reactor_server(SEED, 2, |cfg| {
         cfg.resume_window = Duration::from_secs(10);
         cfg.idle_timeout = Duration::from_secs(10);
     });

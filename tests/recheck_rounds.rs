@@ -16,6 +16,8 @@
 //!   wire (and raw) byte counts agree with the clients'.
 //! * `end_standing` closes every parked connection; clients observe the
 //!   close as a transport error on their next re-challenge wait.
+//! * All of the above hold for a codec-off single-shard gateway and for
+//!   an i16-delta main stream on two shards.
 
 use std::time::Duration;
 
@@ -52,8 +54,22 @@ const FRAMES_PER_ANSWER: u64 = FEED_REC_LEN.div_ceil(RECHECK_CHUNK) as u64 + 1;
 /// `end_standing`.
 #[test]
 fn reactor_standing_feeds_survive_rechallenge_rounds() {
+    standing_rounds(1, WireCodec::Raw);
+}
+
+/// The same rounds behind an i16-delta main stream on two shards:
+/// re-check audio keeps its raw framing, and each round's per-round
+/// sessions open on, and are scanned from, their owning shards.
+#[test]
+fn standing_feeds_survive_rechallenge_rounds() {
+    standing_rounds(2, WireCodec::I16Delta);
+}
+
+/// Runs `FEEDS` standing feeds negotiating `codec` on `shards` service
+/// shards through the main epoch and `ROUNDS` re-challenge rounds.
+fn standing_rounds(shards: usize, codec: WireCodec) {
     let server = ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), shards),
         ChaCha8Rng::seed_from_u64(SEED),
         ServerConfig {
             standing: true,
@@ -72,7 +88,7 @@ fn reactor_standing_feeds_survive_rechallenge_rounds() {
         let transport = connector.connect().expect("hub open");
         let conn = listener.accept_conn().expect("accept");
         server.register(conn);
-        handles.push(FeedHandle::connect(transport, &[WireCodec::Raw]).expect("handshake"));
+        handles.push(FeedHandle::connect(transport, &[codec]).expect("handshake"));
     }
     let client_threads: Vec<_> = handles
         .into_iter()
@@ -206,12 +222,8 @@ fn reactor_standing_feeds_survive_rechallenge_rounds() {
     // round.
     assert_eq!(server.stats().connections_dropped, 0);
     assert_eq!(
-        server
-            .service()
-            .with_default(|s| s.session_count())
-            .expect("shard 0 exists")
-            - FEEDS,
-        0,
+        server.service().session_count(),
+        FEEDS,
         "re-check sessions are closed after their rounds"
     );
     server.shutdown();
