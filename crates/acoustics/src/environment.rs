@@ -86,7 +86,8 @@ pub struct Environment {
     /// sanity checks reject corrupted windows outright rather than
     /// degrading gracefully), so this explicit per-trial geometry jitter is
     /// the calibrated stand-in for those unmodeled trial-to-trial factors —
-    /// see DESIGN.md §1/§5. Zero-mean: it perturbs precision, not truth.
+    /// set per environment with `piano-core`'s `calibrate` example against
+    /// the Fig. 1 errors. Zero-mean: it perturbs precision, not truth.
     pub path_jitter_rel: f64,
 }
 

@@ -18,7 +18,7 @@
 //! * [`analysis`] — the guessing-success probability, exact and Monte
 //!   Carlo, for both signal samplers; quantifies the gap between the
 //!   paper's two-stage construction and its `1/2^(N+1)` claim
-//!   (DESIGN.md §5, experiment E10).
+//!   (experiment E10; derived in the `piano_core::signal` module docs).
 //! * [`harness`] — batch attack trials with outcome accounting, used by the
 //!   security experiment (E9: 100 + 100 trials, 0 successes).
 

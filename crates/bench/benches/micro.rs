@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the computational hot paths: the 4096-point FFT
 //! (real-input vs the retained padded reference), Algorithm 2's normalized
-//! power (dense and sparse), the full Algorithm 1 scan (dense, sparse,
-//! parallel), signal synthesis, and the channel renderer.
+//! power (dense and sparse), the full Algorithm 1 scan (dense and sparse),
+//! signal synthesis, and the channel renderer.
 //!
 //! Emits `BENCH_micro.json` in the workspace root with every measurement
 //! plus the headline speedup ratios, so the perf trajectory is archived
@@ -147,9 +147,6 @@ fn bench_micro(c: &mut Criterion) {
     group.bench_function("algorithm1_scan_2s", |b| {
         b.iter(|| detector.detect_many(&recording, &[&signature]))
     });
-    group.bench_function("algorithm1_scan_2s_parallel", |b| {
-        b.iter(|| detector.detect_many_parallel(&recording, &[&signature]))
-    });
 
     // Streaming scans over the same recording. `stream_scan_2s` consumes
     // the whole buffer in audio-callback chunks and finishes (equivalent
@@ -194,7 +191,7 @@ fn bench_micro(c: &mut Criterion) {
 
     // Fleet ingestion throughput (measured once, in the summary): many
     // sessions on one AuthService sharing a single scan group over one
-    // hub stream, coarse windows sharded by the service's ScanDriver.
+    // hub stream.
     let fleet = measure_fleet_ingest(16);
 
     // Wire-transport ingestion (measured once, in the summary): the same
@@ -428,8 +425,7 @@ fn measure_fleet_ingest(sessions: usize) -> FleetIngest {
             .handle_message(*id, report)
             .expect("report accepted");
     }
-    // ~0.37 s ticks: large enough that the service's ScanDriver shards
-    // each tick's coarse windows instead of taking the inline fallback.
+    // ~0.37 s ticks of the hub recording.
     for chunk in hub.chunks(16_384) {
         let _ = service.push_audio(chunk);
     }
@@ -893,8 +889,6 @@ fn export_summary(
     let simd_goertzel = median("goertzel_bank_scalar") / median("goertzel_bank_simd");
     let scan_speedup =
         median("detection/algorithm1_scan_2s_naive") / median("detection/algorithm1_scan_2s");
-    let parallel_speedup = median("detection/algorithm1_scan_2s_naive")
-        / median("detection/algorithm1_scan_2s_parallel");
     let decision_speedup =
         median("detection/algorithm1_scan_2s") / median("detection/stream_to_decision");
     println!("fft_4096 speedup over naive: {fft_speedup:.2}x");
@@ -904,7 +898,6 @@ fn export_summary(
         piano_dsp::simd::active_backend()
     );
     println!("algorithm1_scan_2s speedup over naive: {scan_speedup:.2}x");
-    println!("algorithm1_scan_2s parallel speedup over naive: {parallel_speedup:.2}x");
     println!(
         "streaming decision after {samples_to_decision}/{recording_len} samples, \
          {decision_speedup:.2}x faster than the full-buffer scan"
@@ -993,13 +986,12 @@ fn export_summary(
             let patched = format!(
                 "{body},  \"speedups\": {{\"fft_4096_vs_naive\": {fft_speedup:.3}, \
                  \"algorithm1_scan_2s_vs_naive\": {scan_speedup:.3}, \
-                 \"algorithm1_scan_2s_parallel_vs_naive\": {parallel_speedup:.3}, \
                  \"stream_to_decision_vs_full_scan\": {decision_speedup:.3}}},\n  \
                  \"streaming\": {{\"samples_to_decision\": {samples_to_decision}, \
                  \"recording_len\": {recording_len}, \
                  \"decision_before_full_buffer\": {}}},\n  \
                  \"fleet_ingest\": {{\"sessions\": {}, \"hub_samples\": {}, \
-                 \"scan_workers\": {}, \"elapsed_s\": {:.4}, \
+                 \"cores\": {}, \"elapsed_s\": {:.4}, \
                  \"session_samples_per_s\": {:.0}, \"all_granted\": {}}},\n  \
                  \"net_ingest\": {{\"feeds\": {}, \"wire_audio_bytes\": {}, \
                  \"raw_audio_bytes\": {}, \"compression_ratio\": {:.3}, \
@@ -1028,7 +1020,7 @@ fn export_summary(
                 samples_to_decision < recording_len,
                 fleet.sessions,
                 fleet.hub_samples,
-                piano_core::stream::scan_workers_from_env(),
+                std::thread::available_parallelism().map_or(1, |p| p.get()),
                 fleet.elapsed_s,
                 fleet.session_samples_per_s,
                 fleet.all_granted,

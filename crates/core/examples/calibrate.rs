@@ -1,8 +1,9 @@
 //! Calibration utility: measures ACTION's ranging accuracy per
 //! environment and distance, printing mean absolute error, bias, and
 //! spread. This is the tool used to set the environment constants in
-//! `piano_acoustics::environment` (see DESIGN.md §5); rerun it after
-//! touching transducer gains, dispersion, noise, or jitter parameters.
+//! `piano_acoustics::environment` against the paper's Fig. 1 errors;
+//! rerun it after touching transducer gains, dispersion, noise, or jitter
+//! parameters.
 //!
 //! ```text
 //! cargo run --release -p piano-core --example calibrate

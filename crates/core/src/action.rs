@@ -98,6 +98,11 @@ pub struct ActionOutcome {
 /// Draws the session id and the two reference signals exactly as
 /// [`run_action`] does, in the same RNG order.
 ///
+/// `S_V` is redrawn until neither signal's frequency set contains the
+/// other's: Algorithm 1 finds a signal on a window of one whose tones
+/// nest with its own, which mislocates it by the gap between `S_A` and
+/// `S_V`. A non-nested partner always exists (the complement of `S_A`).
+///
 /// Exposed so tests and the oracle-replay attacker (which validates the
 /// security experiments) can replicate a session's secrets from a cloned
 /// RNG. Honest code has no reason to call this.
@@ -107,8 +112,18 @@ pub fn draw_session_signals(
 ) -> (u64, ReferenceSignal, ReferenceSignal) {
     let session: u64 = rng.gen();
     let sa = ReferenceSignal::random(config, rng);
-    let sv = ReferenceSignal::random(config, rng);
-    (session, sa, sv)
+    loop {
+        let sv = ReferenceSignal::random(config, rng);
+        if !nested(sa.indices(), sv.indices()) {
+            return (session, sa, sv);
+        }
+    }
+}
+
+/// Whether one sorted index set contains the other.
+fn nested(a: &[usize], b: &[usize]) -> bool {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    small.iter().all(|i| large.binary_search(i).is_ok())
 }
 
 /// Runs the complete ACTION protocol between two paired devices.
@@ -345,6 +360,68 @@ mod tests {
         );
         registry.pair(auth.id, vouch.id, &mut rng);
         (field, link, registry, auth, vouch, rng)
+    }
+
+    #[test]
+    fn session_signals_never_nest_and_range_exactly() {
+        let config = ActionConfig::default();
+        // The first seed whose independent S_A/S_V draw nests.
+        let seed = (0u64..100_000)
+            .find(|&seed| {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let _: u64 = rng.gen();
+                let sa = ReferenceSignal::random(&config, &mut rng);
+                let sv = ReferenceSignal::random(&config, &mut rng);
+                nested(sa.indices(), sv.indices())
+            })
+            .expect("an independent draw nests within 100 000 seeds");
+        let (_, sa, sv) = draw_session_signals(&config, &mut ChaCha8Rng::seed_from_u64(seed));
+        assert!(!nested(sa.indices(), sv.indices()), "seed {seed}");
+
+        // A session from that seed ranges within 10 cm of Eq. 3 on clean
+        // recordings: S_A 6 000 samples before S_V at A, 5 871 at V.
+        let detector = Arc::new(Detector::new(&config));
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut session_a = AuthSession::authenticator_with(Arc::clone(&detector), 1.0, &mut rng);
+        let mut session_v = AuthSession::voucher_with(detector);
+        session_v
+            .handle_message(session_a.poll_transmit().expect("challenge"))
+            .expect("challenge accepted");
+        let wave_a = session_a.playback_waveform().expect("S_A");
+        let wave_v = session_v.playback_waveform().expect("S_V");
+        let record = |(at_a, gain_a): (usize, f64), (at_v, gain_v): (usize, f64)| {
+            let mut rec = vec![0.0; 16_384];
+            for (i, (&a, &v)) in wave_a.iter().zip(&wave_v).enumerate() {
+                rec[at_a + i] += a * gain_a;
+                rec[at_v + i] += v * gain_v;
+            }
+            rec
+        };
+        let _ = session_v.push_audio(&record((2_000, 0.3), (7_871, 0.4)));
+        let _ = session_v.finish_audio();
+        let _ = session_a.push_audio(&record((2_000, 0.4), (8_000, 0.3)));
+        let _ = session_a.finish_audio();
+        let _ = session_a
+            .handle_message(session_v.poll_transmit().expect("report"))
+            .expect("report accepted");
+        let expected = crate::ranging::estimate_distance(
+            &crate::ranging::LocationDiffs {
+                auth_diff_samples: 6_000.0,
+                vouch_diff_samples: 5_871.0,
+            },
+            config.sample_rate,
+            config.sample_rate,
+            config.assumed_speed_of_sound,
+        );
+        match session_a.estimate() {
+            Some(DistanceEstimate::Measured(d)) => {
+                assert!(
+                    (d - expected).abs() < 0.1,
+                    "seed {seed}: {d} m vs {expected} m"
+                );
+            }
+            other => panic!("seed {seed}: expected a measured distance, got {other:?}"),
+        }
     }
 
     #[test]

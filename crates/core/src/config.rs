@@ -31,7 +31,7 @@ pub struct ActionConfig {
     pub beta_fraction: f64,
     /// Presence threshold ε: the maximum normalized power must reach
     /// `ε·R_S` or the signal is declared absent. Paper: ε = α = 1 %
-    /// (see DESIGN.md §4 for the `P_max < R_S` literalism this resolves).
+    /// (the literal `P_max < R_S` would reject every attenuated recording).
     pub epsilon: f64,
     /// Coarse scan step in samples. Paper: 1000.
     pub coarse_step: usize,
@@ -39,7 +39,8 @@ pub struct ActionConfig {
     pub fine_step: usize,
     /// Fine scan radius around the coarse maximum, in samples.
     pub fine_radius: usize,
-    /// How reference-signal frequency subsets are sampled (DESIGN.md §5).
+    /// How reference-signal frequency subsets are sampled (see
+    /// [`crate::signal`] for why the two samplers differ against guessing).
     pub sampler: SignalSampler,
     /// Peak construction amplitude. Paper: 32000 (16-bit headroom).
     pub max_amplitude: f64,

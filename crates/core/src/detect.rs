@@ -13,7 +13,9 @@
 //!   by both reference signals in a single pass, then a fine scan with
 //!   step 10 around each coarse maximum. A signal whose best normalized
 //!   power falls below `ε·R_S` is declared [`Detection::NotPresent`]
-//!   (Algorithm 1 line 12; see DESIGN.md §4 for the ε reading).
+//!   (Algorithm 1 line 12, read as `ε·R_S`: the literal `P_max < R_S`
+//!   would reject every recording, since received power is attenuated far
+//!   below the emitted `R_S`).
 //!
 //! # Performance architecture
 //!
@@ -32,11 +34,6 @@
 //!   `fine_step` samples costs `O(bins × step)` instead of a fresh
 //!   `O(N log N)` transform. [`ScanMode`] selects the path; `Auto` (the
 //!   default) uses it whenever the analysis window permits.
-//! * **Parallel coarse scan** — [`Detector::detect_many_parallel`] shards
-//!   coarse window offsets across `std::thread::scope` workers and merges
-//!   per-signature maxima with a deterministic (max power, earliest
-//!   offset) rule, so results are bit-identical to the serial scan for
-//!   every worker count.
 //! * **SIMD kernels** — every FFT, sliding-DFT, and Goertzel evaluation
 //!   above dispatches through `piano_dsp::simd` (SSE2/AVX2/NEON,
 //!   runtime-selected, `PIANO_DSP_SIMD` overridable). The detector needs
@@ -210,7 +207,7 @@ impl SparseClusters {
 /// The frequency-based signal detector.
 ///
 /// Holds only immutable plan data, so it is `Send + Sync`: one detector
-/// can be shared across authentication sessions and scan workers. The
+/// can be shared across authentication sessions and threads. The
 /// analyzer (FFT plan + window tables) sits behind an `Arc`, so cloning a
 /// detector is O(1) — clones share the plan memory.
 #[derive(Debug, Clone)]
@@ -383,7 +380,7 @@ impl Detector {
     /// Returns [`Detection::NotPresent`] per signal when the recording is
     /// shorter than one window.
     pub fn detect_many(&self, recording: &[f64], sigs: &[&SignalSignature]) -> ScanResult {
-        self.scan(recording, sigs, 1, ScanMode::Auto)
+        self.scan(recording, sigs, ScanMode::Auto)
     }
 
     /// [`Self::detect_many`] with an explicit spectral path for the fine
@@ -394,47 +391,11 @@ impl Detector {
         sigs: &[&SignalSignature],
         mode: ScanMode,
     ) -> ScanResult {
-        self.scan(recording, sigs, 1, mode)
-    }
-
-    /// [`Self::detect_many`] with the coarse scan sharded across all
-    /// available cores.
-    ///
-    /// Results (including [`ScanResult::ffts_used`]) are bit-identical to
-    /// the serial scan: workers compute per-signature maxima over disjoint
-    /// offset shards and the merge picks (max power, earliest offset),
-    /// which is exactly the serial first-maximum rule.
-    pub fn detect_many_parallel(&self, recording: &[f64], sigs: &[&SignalSignature]) -> ScanResult {
-        let workers = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        self.scan(recording, sigs, workers, ScanMode::Auto)
-    }
-
-    /// [`Self::detect_many_parallel`] with an explicit worker count —
-    /// results do not depend on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn detect_many_parallel_with(
-        &self,
-        recording: &[f64],
-        sigs: &[&SignalSignature],
-        workers: usize,
-    ) -> ScanResult {
-        assert!(workers > 0, "at least one worker is required");
-        self.scan(recording, sigs, workers, ScanMode::Auto)
+        self.scan(recording, sigs, mode)
     }
 
     /// The scan engine behind every `detect*` entry point.
-    fn scan(
-        &self,
-        recording: &[f64],
-        sigs: &[&SignalSignature],
-        workers: usize,
-        mode: ScanMode,
-    ) -> ScanResult {
+    fn scan(&self, recording: &[f64], sigs: &[&SignalSignature], mode: ScanMode) -> ScanResult {
         let w = self.config.signal_len;
         if recording.len() < w || sigs.is_empty() {
             return ScanResult {
@@ -445,66 +406,34 @@ impl Detector {
         let mode = self.resolve_mode(mode);
         let last = recording.len() - w;
 
-        // Coarse offsets: 0, step, 2·step, …, clamped to end exactly at
-        // `last` (matching the legacy `(i + step).min(last)` walk).
-        let mut offsets: Vec<usize> = (0..last).step_by(self.config.coarse_step.max(1)).collect();
-        offsets.push(last);
-
-        // Coarse pass, shared across signatures, sharded across workers.
-        let workers = workers.min(offsets.len()).max(1);
-        let chunk_len = offsets.len().div_ceil(workers);
-        let mut ffts = 0usize;
+        // Coarse pass, shared across signatures, over offsets 0, step,
+        // 2·step, …, clamped to end exactly at `last` (matching the legacy
+        // `(i + step).min(last)` walk). Strict-greater keeps the earliest
+        // offset on ties.
+        let offsets = (0..last)
+            .step_by(self.config.coarse_step.max(1))
+            .chain(std::iter::once(last));
+        let mut scratch = SpectrumScratch::default();
+        let mut spectrum: Vec<f64> = Vec::with_capacity(w);
         let mut best: Vec<(f64, usize)> = vec![(f64::NEG_INFINITY, 0); sigs.len()];
-        if workers == 1 {
-            let (chunk_best, chunk_ffts) = self.coarse_chunk(recording, sigs, &offsets);
-            merge_coarse(&mut best, &chunk_best);
-            ffts += chunk_ffts;
-        } else {
-            let chunk_results: Vec<(Vec<(f64, usize)>, usize)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = offsets
-                    .chunks(chunk_len)
-                    .map(|chunk| scope.spawn(move || self.coarse_chunk(recording, sigs, chunk)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("coarse scan worker panicked"))
-                    .collect()
-            });
-            // Merge in shard order: strict-greater keeps the earliest
-            // offset on ties, exactly like the serial walk.
-            for (chunk_best, chunk_ffts) in chunk_results {
-                merge_coarse(&mut best, &chunk_best);
-                ffts += chunk_ffts;
+        let mut ffts = 0usize;
+        for i in offsets {
+            self.analyzer
+                .compute(&recording[i..i + w], &mut scratch, &mut spectrum);
+            ffts += 1;
+            for (b, sig) in best.iter_mut().zip(sigs) {
+                let p = self.norm_power(&spectrum, sig);
+                if p > b.0 {
+                    *b = (p, i);
+                }
             }
         }
 
-        // Fine pass per signature (parallel across signatures when the
-        // caller asked for parallelism).
-        let fine: Vec<(f64, usize, usize)> = if workers > 1 && sigs.len() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = best
-                    .iter()
-                    .zip(sigs)
-                    .map(|(&coarse, sig)| {
-                        scope.spawn(move || {
-                            self.fine_scan_view(recording, 0, last, sig, coarse, mode)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("fine scan worker panicked"))
-                    .collect()
-            })
-        } else {
-            best.iter()
-                .zip(sigs)
-                .map(|(&c, sig)| self.fine_scan_view(recording, 0, last, sig, c, mode))
-                .collect()
-        };
-
+        // Fine pass per signature around its coarse maximum.
         let mut detections = Vec::with_capacity(sigs.len());
-        for ((best_p, best_loc, fine_evals), sig) in fine.into_iter().zip(sigs) {
+        for (&coarse, sig) in best.iter().zip(sigs) {
+            let (best_p, best_loc, fine_evals) =
+                self.fine_scan_view(recording, 0, last, sig, coarse, mode);
             ffts += fine_evals;
             detections.push(self.threshold_detection(best_p, best_loc, sig));
         }
@@ -515,7 +444,7 @@ impl Detector {
     }
 
     /// Algorithm 1's final presence decision for one signature's refined
-    /// maximum (line 12 with the ε·R_S reading, DESIGN.md §4).
+    /// maximum (line 12 with the ε·R_S reading; see the module docs).
     pub(crate) fn threshold_detection(
         &self,
         best_p: f64,
@@ -533,51 +462,6 @@ impl Detector {
                 norm_power: best_p,
             }
         }
-    }
-
-    /// Evaluates one shard of coarse offsets, returning the local
-    /// first-maximum per signature and the evaluation count.
-    fn coarse_chunk(
-        &self,
-        recording: &[f64],
-        sigs: &[&SignalSignature],
-        offsets: &[usize],
-    ) -> (Vec<(f64, usize)>, usize) {
-        self.coarse_chunk_view(recording, 0, sigs, offsets)
-    }
-
-    /// [`Self::coarse_chunk`] over a *view*: `samples` holds the recording
-    /// from absolute offset `base`, and `offsets` are absolute window
-    /// offsets (each window must be covered by the view). This is the
-    /// kernel the streaming scan driver shards across workers — it runs
-    /// the identical arithmetic in the identical offset order as the
-    /// offline coarse pass, so per-shard maxima merge bit-identically.
-    pub(crate) fn coarse_chunk_view<S: std::borrow::Borrow<SignalSignature>>(
-        &self,
-        samples: &[f64],
-        base: usize,
-        sigs: &[S],
-        offsets: &[usize],
-    ) -> (Vec<(f64, usize)>, usize) {
-        let w = self.config.signal_len;
-        let mut scratch = SpectrumScratch::default();
-        let mut spectrum: Vec<f64> = Vec::with_capacity(w);
-        let mut best: Vec<(f64, usize)> =
-            vec![(f64::NEG_INFINITY, offsets.first().copied().unwrap_or(0)); sigs.len()];
-        for &i in offsets {
-            self.analyzer.compute(
-                &samples[i - base..i - base + w],
-                &mut scratch,
-                &mut spectrum,
-            );
-            for (b, sig) in best.iter_mut().zip(sigs) {
-                let p = self.norm_power(&spectrum, sig.borrow());
-                if p > b.0 {
-                    *b = (p, i);
-                }
-            }
-        }
-        (best, offsets.len())
     }
 
     /// Fine scan around one signature's coarse maximum, over a *view* of
@@ -665,18 +549,6 @@ impl Detector {
             }
         }
         (best_p, best_loc, evals)
-    }
-}
-
-/// Folds one shard's per-signature maxima into the running best,
-/// preserving the serial first-maximum (earliest offset) semantics.
-/// Shared with the streaming scan driver ([`crate::stream::ScanDriver`]),
-/// so the two parallel paths cannot diverge on the merge rule.
-pub(crate) fn merge_coarse(best: &mut [(f64, usize)], chunk: &[(f64, usize)]) {
-    for (b, &(p, i)) in best.iter_mut().zip(chunk) {
-        if p > b.0 {
-            *b = (p, i);
-        }
     }
 }
 
@@ -958,53 +830,5 @@ mod tests {
         let mut cfg = config();
         cfg.beta_fraction = 0.9;
         let _ = Detector::new(&cfg);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn zero_workers_rejected() {
-        let cfg = config();
-        let det = Detector::new(&cfg);
-        let sig = ReferenceSignal::from_indices(&cfg, vec![1], &mut rng(30));
-        let signature = SignalSignature::of(&sig, &cfg);
-        let _ = det.detect_many_parallel_with(&[0.0; 8192], &[&signature], 0);
-    }
-
-    #[test]
-    fn parallel_scan_is_bit_identical_to_serial_for_all_worker_counts() {
-        let cfg = config();
-        let det = Detector::new(&cfg);
-        let sa = ReferenceSignal::from_indices(&cfg, vec![0, 7, 19], &mut rng(15));
-        let sv = ReferenceSignal::from_indices(&cfg, vec![5, 11, 28], &mut rng(16));
-        let mut rec = embed(&sa.waveform(), 6_100, 60_000, 0.4);
-        for (i, &v) in sv.waveform().iter().enumerate() {
-            rec[31_017 + i] += 0.35 * v;
-        }
-        let siga = SignalSignature::of(&sa, &cfg);
-        let sigv = SignalSignature::of(&sv, &cfg);
-        let serial = det.detect_many(&rec, &[&siga, &sigv]);
-        for workers in [1, 2, 3, 4, 7, 16] {
-            let parallel = det.detect_many_parallel_with(&rec, &[&siga, &sigv], workers);
-            assert_eq!(serial, parallel, "workers = {workers}");
-        }
-        assert!(serial.detections[0].is_found());
-        assert!(serial.detections[1].is_found());
-    }
-
-    #[test]
-    fn parallel_scan_matches_serial_on_absent_signal() {
-        let cfg = config();
-        let det = Detector::new(&cfg);
-        let sig = ReferenceSignal::from_indices(&cfg, vec![3, 9], &mut rng(17));
-        let signature = SignalSignature::of(&sig, &cfg);
-        let rec = vec![0.0; 44_100];
-        let serial = det.detect_many(&rec, &[&signature]);
-        for workers in [2, 5, 8] {
-            assert_eq!(
-                serial,
-                det.detect_many_parallel_with(&rec, &[&signature], workers)
-            );
-        }
-        assert_eq!(serial.detections[0], Detection::NotPresent);
     }
 }

@@ -9,7 +9,8 @@
 //!   band split into 30 bins).
 //! * [`signal`] — Step I: frequency-domain randomized reference signals,
 //!   with both the paper-literal two-stage sampler and a uniform-subset
-//!   sampler (see `DESIGN.md` §5 for why they differ against guessing).
+//!   sampler (the two-stage one over-weights tiny and near-full subsets,
+//!   so it is far easier to guess than the paper's `1/(2^N−2)`).
 //! * [`detect`] — Step IV: the frequency-based signal detection algorithm
 //!   (paper Algorithms 1 and 2), including the adapted coarse→fine step
 //!   sizes and single-scan detection of both reference signals.
@@ -42,14 +43,10 @@
 //!   bins around each candidate ([`piano_dsp::sparse::SlidingDft`]):
 //!   shifting by `fine_step` samples costs `O(bins × step)` instead of an
 //!   `O(N log N)` transform per window.
-//! * [`detect::Detector::detect_many_parallel`] shards the coarse scan
-//!   across `std::thread::scope` workers with a deterministic merge —
-//!   results are bit-identical to the serial scan for every worker count.
-//! * [`stream::ScanDriver`] brings the same sharding to *streaming* scans:
-//!   each audio tick's coarse windows fan out across a configurable
-//!   worker pool (sized by `PIANO_SCAN_WORKERS` fleet-wide), with the
-//!   identical bit-for-bit guarantee; [`stream::AuthService`] drives all
-//!   of its scan groups through one.
+//! * Algorithm 1 runs serially, once per recording: throughput comes from
+//!   serving many sessions at once ([`stream::AuthService`] scan groups,
+//!   sharded services, the parallel trial runner), not from threads
+//!   inside one scan.
 //! * [`wire`] scales ingestion: framed [`wire::Message::AudioBatch`]
 //!   decoding ([`wire::FrameReader`]) plus watermark backpressure
 //!   ([`wire::IngestFeed`]) let one service meter thousands of remote
@@ -120,7 +117,5 @@ pub use error::PianoError;
 pub use freqgrid::FrequencyGrid;
 pub use piano::{AuthDecision, PianoAuthenticator, PianoConfig};
 pub use signal::{ReferenceSignal, SignalSampler};
-pub use stream::{
-    AuthService, AuthSession, ScanDriver, SessionEvent, SessionId, StreamingDetector,
-};
+pub use stream::{AuthService, AuthSession, SessionEvent, SessionId, StreamingDetector};
 pub use sync::{OrderedGuard, OrderedMutex};

@@ -41,18 +41,6 @@
 //!   hosts the whole-protocol convenience driver
 //!   ([`AuthService::authenticate_pair`]) that `PianoAuthenticator`
 //!   wraps.
-//! * [`ScanDriver`] — the thread-pool scan driver. Each audio tick's
-//!   newly covered coarse windows are an embarrassingly parallel batch;
-//!   the driver shards them across a configurable pool of
-//!   `std::thread::scope` workers and merges per-signature maxima with
-//!   the deterministic (max power, earliest offset) rule shared with
-//!   [`Detector::detect_many_parallel`]. **Determinism guarantee:** for
-//!   every worker count the events, provisional detections, and
-//!   `finish()` results are bit-identical to the serial path — the pool
-//!   width is a pure throughput knob (`PIANO_SCAN_WORKERS` sizes it
-//!   fleet-wide; `tests/scan_driver_equivalence.rs` pins the contract).
-//!   [`AuthService::push_audio`] drives every scan group through its
-//!   driver, taking group scans off the pushing thread's critical path.
 //!
 //! Wire-level ingestion (framed batches, per-feed backpressure, the i16
 //! delta PCM codec) lives in [`crate::wire`]: `Message::AudioBatch` /
@@ -101,14 +89,6 @@ use crate::wire::{Message, SignalSpec};
 /// Slack (in samples) the ring buffer keeps beyond the retention floor
 /// before compacting, so the `O(len)` front-drain amortizes.
 const COMPACT_SLACK: usize = 16_384;
-
-/// Minimum coarse-offset batch worth sharding across worker threads. A
-/// coarse window evaluation is one spectrum (tens of microseconds) —
-/// comparable to spawning a scoped thread — so small audio-callback ticks
-/// run serially on the pushing thread regardless of the configured pool
-/// width. Has no observable effect besides speed: results are worker-count
-/// invariant by construction.
-const MIN_SHARD_OFFSETS: usize = 8;
 
 /// The PIANO threshold rule: maps ACTION's distance verdict to the final
 /// decision under threshold τ. Shared by [`AuthSession`] and
@@ -278,8 +258,6 @@ pub struct StreamingDetector {
     /// signature.
     best_at: Vec<usize>,
     captures: Vec<Capture>,
-    /// Reused scratch for each tick's batch of coarse offsets.
-    coarse_offsets: Vec<usize>,
     early: Vec<Option<EarlyDetection>>,
     /// Coarse location already early-attempted per signature, to avoid
     /// re-running the fine scan on an unchanged maximum.
@@ -310,7 +288,6 @@ impl StreamingDetector {
             best_power: vec![f64::NEG_INFINITY; n],
             best_at: vec![0; n],
             captures: vec![Capture::default(); n],
-            coarse_offsets: Vec::new(),
             early: vec![None; n],
             early_attempted: vec![None; n],
             early_fine_evals: 0,
@@ -386,27 +363,6 @@ impl StreamingDetector {
     ///
     /// Panics if called after [`finish`](Self::finish).
     pub fn push(&mut self, samples: &[f64]) -> Vec<StreamEvent> {
-        self.push_with_workers(samples, 1)
-    }
-
-    /// [`push`](Self::push) with this tick's coarse windows sharded across
-    /// `workers` scoped threads ([`ScanDriver`] calls this). Events,
-    /// provisional detections, and [`finish`](Self::finish) results are
-    /// **bit-identical** to the serial path for every worker count: shards
-    /// are contiguous offset ranges evaluated in offline order, and the
-    /// per-signature merge keeps (max power, earliest offset) — the serial
-    /// first-maximum rule (see
-    /// [`Detector::detect_many_parallel`]).
-    ///
-    /// Ticks covering only a few coarse offsets run inline regardless of
-    /// `workers` (the sharding overhead would exceed the work); this is
-    /// invisible in the results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero or the stream already finished.
-    pub fn push_with_workers(&mut self, samples: &[f64], workers: usize) -> Vec<StreamEvent> {
-        assert!(workers > 0, "at least one worker is required");
         assert!(self.result.is_none(), "stream already finished");
         if samples.is_empty() {
             return Vec::new();
@@ -443,14 +399,10 @@ impl StreamingDetector {
         // Coarse pass over every newly covered offset, in offline order.
         let w = self.detector.config().signal_len;
         let step = self.detector.config().coarse_step.max(1);
-        let mut offsets = std::mem::take(&mut self.coarse_offsets);
-        offsets.clear();
         while self.next_coarse + w <= self.ring.total {
-            offsets.push(self.next_coarse);
+            self.eval_coarse(self.next_coarse);
             self.next_coarse += step;
         }
-        self.eval_coarse_batch(&offsets, workers);
-        self.coarse_offsets = offsets;
 
         // Early refinement: a cleared threshold plus a fully buffered
         // neighborhood yields a provisional detection now.
@@ -467,69 +419,6 @@ impl StreamingDetector {
         self.ring
             .compact_to(self.ring.total.saturating_sub(w + radius));
         events
-    }
-
-    /// Evaluates one tick's batch of coarse offsets, optionally sharded
-    /// across scoped worker threads.
-    ///
-    /// Every offset in the batch sees the same ring state (the coarse walk
-    /// runs after the buffer extension, exactly like the serial per-offset
-    /// path), so evaluating shards concurrently and merging per-signature
-    /// maxima in shard order reproduces the serial running maximum — and
-    /// therefore the serial captures — bit for bit.
-    fn eval_coarse_batch(&mut self, offsets: &[usize], workers: usize) {
-        if offsets.is_empty() {
-            return;
-        }
-        // Tiny batches (a typical audio-callback tick covers a handful of
-        // offsets) aren't worth the spawn/join overhead: run them inline.
-        let workers = if offsets.len() < MIN_SHARD_OFFSETS {
-            1
-        } else {
-            workers.min(offsets.len())
-        };
-        if workers == 1 {
-            for &offset in offsets {
-                self.eval_coarse(offset);
-            }
-            return;
-        }
-        let detector = &self.detector;
-        let buf = &self.ring.buf;
-        let base = self.ring.base;
-        let sigs = &self.sigs;
-        let chunk_len = offsets.len().div_ceil(workers);
-        let shard_results: Vec<(Vec<(f64, usize)>, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = offsets
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || detector.coarse_chunk_view(buf, base, sigs, chunk))
-                })
-                .collect();
-            handles
-                .into_iter()
-                // piano-lint: allow(wire-no-panic, reason = "deliberate panic propagation: a poisoned scan worker must fail the scan, not silently drop a shard of the coarse walk")
-                .map(|h| h.join().expect("coarse scan worker panicked"))
-                .collect()
-        });
-        let mut batch_best = vec![(f64::NEG_INFINITY, 0usize); self.sigs.len()];
-        for (shard_best, shard_evals) in shard_results {
-            crate::detect::merge_coarse(&mut batch_best, &shard_best);
-            self.coarse_evals += shard_evals;
-        }
-        // Fold the batch maxima into the running state and refresh the
-        // captures of signatures whose maximum moved — the data matches
-        // what the serial path would have captured at eval time, because
-        // the whole batch shares this tick's ring contents.
-        let w = self.detector.config().signal_len;
-        let radius = self.detector.config().fine_radius;
-        for (i, &(p, offset)) in batch_best.iter().enumerate() {
-            if p > self.best_power[i] {
-                self.best_power[i] = p;
-                self.best_at[i] = offset;
-                Self::recapture(&self.ring, &mut self.captures[i], offset, w, radius);
-            }
-        }
     }
 
     /// Refreshes one signature's capture around a new running maximum at
@@ -665,86 +554,6 @@ impl StreamingDetector {
         };
         self.result = Some(result.clone());
         result
-    }
-}
-
-/// Environment variable overriding the default scan worker count.
-pub const SCAN_WORKERS_ENV: &str = "PIANO_SCAN_WORKERS";
-
-/// The scan worker count in force: `PIANO_SCAN_WORKERS` when set to a
-/// positive integer, otherwise the machine's available parallelism.
-///
-/// [`ScanDriver::from_env`], [`AuthService`], and the eval trial runner all
-/// derive their pool width from this, so one environment knob pins the
-/// whole workspace to a worker count (the CI matrix runs the suite at 1
-/// and 4).
-pub fn scan_workers_from_env() -> usize {
-    if let Ok(raw) = std::env::var(SCAN_WORKERS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// The thread-pool scan driver: shards each audio tick's coarse windows
-/// across a configurable pool of `std::thread::scope` workers.
-///
-/// Algorithm 1's coarse pass is embarrassingly parallel across window
-/// offsets, and the (max power, earliest offset) merge rule makes the
-/// shard order irrelevant to the result: for **every** worker count the
-/// driver's detections, early-decision events, and `finish()` outputs are
-/// bit-identical to the serial [`StreamingDetector::push`] path
-/// (property-tested in `tests/scan_driver_equivalence.rs`). The driver is
-/// therefore a pure throughput knob — [`AuthService`] uses one to take
-/// group scans off the pushing thread's critical path.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ScanDriver {
-    workers: usize,
-}
-
-impl ScanDriver {
-    /// A driver with a fixed worker-pool width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers > 0, "at least one worker is required");
-        ScanDriver { workers }
-    }
-
-    /// The single-worker driver: every scan runs on the pushing thread.
-    pub fn serial() -> Self {
-        ScanDriver::new(1)
-    }
-
-    /// A driver sized by [`scan_workers_from_env`].
-    pub fn from_env() -> Self {
-        ScanDriver::new(scan_workers_from_env())
-    }
-
-    /// The pool width.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Feeds one chunk through `scanner` with this driver's pool:
-    /// equivalent to [`StreamingDetector::push`], bit for bit, with the
-    /// coarse windows sharded across the workers.
-    pub fn drive(&self, scanner: &mut StreamingDetector, samples: &[f64]) -> Vec<StreamEvent> {
-        scanner.push_with_workers(samples, self.workers)
-    }
-}
-
-impl Default for ScanDriver {
-    /// [`ScanDriver::from_env`].
-    fn default() -> Self {
-        ScanDriver::from_env()
     }
 }
 
@@ -1747,7 +1556,6 @@ pub struct AuthService {
     /// id order — decision-path code must never see map-randomized order.
     sessions: BTreeMap<SessionId, AuthSession>,
     groups: Vec<ScanGroup>,
-    driver: ScanDriver,
     next_id: u64,
     /// Distance between consecutively assigned session ids. `1` for a
     /// standalone service; a [`ShardedAuthService`] gives shard `k` of
@@ -1759,9 +1567,7 @@ pub struct AuthService {
 
 impl AuthService {
     /// Creates a service with no bonds and one cached detector for the
-    /// configured action parameters. Group scans run under the
-    /// environment-sized [`ScanDriver::from_env`];
-    /// [`set_scan_driver`](Self::set_scan_driver) overrides it.
+    /// configured action parameters.
     ///
     /// # Panics
     ///
@@ -1776,7 +1582,6 @@ impl AuthService {
             link: BluetoothLink::new(),
             sessions: BTreeMap::new(),
             groups: Vec::new(),
-            driver: ScanDriver::from_env(),
             next_id: 0,
             id_step: 1,
             last_outcome: None,
@@ -1803,17 +1608,6 @@ impl AuthService {
     /// The configuration in force.
     pub fn config(&self) -> &PianoConfig {
         &self.config
-    }
-
-    /// The scan driver sharding group coarse scans across workers.
-    pub fn scan_driver(&self) -> ScanDriver {
-        self.driver
-    }
-
-    /// Replaces the scan driver. Results never depend on the pool width
-    /// (see [`ScanDriver`]); this is a pure throughput knob.
-    pub fn set_scan_driver(&mut self, driver: ScanDriver) {
-        self.driver = driver;
     }
 
     /// Updates the default authentication threshold.
@@ -2024,12 +1818,10 @@ impl AuthService {
 
     /// Feeds one chunk of the host's shared recording to every scan group:
     /// one coarse pass per group per tick, regardless of how many sessions
-    /// it carries, with each group's coarse windows sharded across the
-    /// service's [`ScanDriver`] pool. Returns per-session events
-    /// (provisional detections, early decisions).
+    /// it carries. Returns per-session events (provisional detections,
+    /// early decisions).
     pub fn push_audio(&mut self, samples: &[f64]) -> Vec<(SessionId, SessionEvent)> {
         let mut out = Vec::new();
-        let driver = self.driver;
         for group in &mut self.groups {
             if group.scanner.is_none() {
                 let mut sigs = Vec::with_capacity(group.members.len() * 2);
@@ -2056,7 +1848,7 @@ impl AuthService {
             let Some(scanner) = group.scanner.as_mut() else {
                 continue;
             };
-            for ev in driver.drive(scanner, samples) {
+            for ev in scanner.push(samples) {
                 let StreamEvent::EarlyDetection {
                     signature,
                     detection,
@@ -2859,90 +2651,6 @@ mod tests {
         let detector = Arc::new(Detector::new(&cfg));
         let mut session_v = AuthSession::voucher_with(detector);
         let _ = session_v.push_audio(&[0.0; 10]);
-    }
-
-    #[test]
-    fn scan_driver_is_bit_identical_to_serial_push_for_all_worker_counts() {
-        let cfg = config();
-        let detector = Arc::new(Detector::new(&cfg));
-        let sa = ReferenceSignal::from_indices(&cfg, vec![2, 9, 17], &mut rng(60));
-        let sv = ReferenceSignal::from_indices(&cfg, vec![5, 13, 26], &mut rng(61));
-        let sig_a = SignalSignature::of(&sa, &cfg);
-        let sig_v = SignalSignature::of(&sv, &cfg);
-        let mut rec = vec![0.0; 40_000];
-        embed_into(&mut rec, &sa.waveform(), 6_500, 0.35);
-        embed_into(&mut rec, &sv.waveform(), 23_117, 0.3);
-
-        // 12 288-sample ticks cover ≥ 8 coarse offsets, so the sharded
-        // path (not the small-batch inline fallback) is what's compared.
-        let (serial_result, serial_events) =
-            stream_scan(&detector, &[&sig_a, &sig_v], &rec, 12_288);
-        for workers in [1, 2, 4, 7, 16] {
-            let driver = ScanDriver::new(workers);
-            let mut s =
-                StreamingDetector::new(Arc::clone(&detector), vec![sig_a.clone(), sig_v.clone()]);
-            let mut events = Vec::new();
-            for c in rec.chunks(12_288) {
-                events.extend(driver.drive(&mut s, c));
-            }
-            assert_eq!(events, serial_events, "workers = {workers}");
-            assert_eq!(
-                s.early_detection(0),
-                events
-                    .iter()
-                    .find_map(|e| {
-                        let StreamEvent::EarlyDetection {
-                            signature: 0,
-                            detection,
-                            samples_consumed,
-                        } = e
-                        else {
-                            return None;
-                        };
-                        Some(EarlyDetection {
-                            detection: *detection,
-                            samples_consumed: *samples_consumed,
-                        })
-                    })
-                    .as_ref(),
-            );
-            assert_eq!(s.finish(), serial_result, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one worker")]
-    fn scan_driver_rejects_zero_workers() {
-        let _ = ScanDriver::new(0);
-    }
-
-    #[test]
-    fn service_scan_driver_does_not_change_results() {
-        // The same two-session scenario under a serial and a 4-worker
-        // driver must produce identical events and decisions.
-        let run = |driver: ScanDriver| {
-            let cfg = PianoConfig::with_threshold(2.0);
-            let mut service = AuthService::new(cfg);
-            service.set_scan_driver(driver);
-            assert_eq!(service.scan_driver(), driver);
-            let mut r = rng(70);
-            let id1 = service.open_session(false, &mut r);
-            let id2 = service.open_session(false, &mut r);
-            let w1 = service.session(id1).unwrap().playback_waveform().unwrap();
-            let w2 = service.session(id2).unwrap().playback_waveform().unwrap();
-            let mut hub = vec![0.0; 30_000];
-            embed_into(&mut hub, &w1, 4_000, 0.5);
-            embed_into(&mut hub, &w2, 14_000, 0.5);
-            let mut events = Vec::new();
-            // Big ticks so the 4-worker run actually shards its windows.
-            for c in hub.chunks(13_000) {
-                events.extend(service.push_audio(c));
-            }
-            events.extend(service.finish_audio());
-            let ffts = [id1, id2].map(|id| service.session(id).unwrap().scan_ffts());
-            (events, ffts)
-        };
-        assert_eq!(run(ScanDriver::serial()), run(ScanDriver::new(4)));
     }
 
     #[test]

@@ -64,7 +64,7 @@
 //!
 //! Everything is allocation-free on the hot path: callers own scratch
 //! buffers ([`spectrum::SpectrumScratch`]) and analyzers are immutable and
-//! `Sync`, so scan workers share plans and fan out without locks.
+//! `Sync`, so threads share plans without locks.
 //!
 //! # Example
 //!

@@ -103,8 +103,8 @@ pub fn real_power_spectrum_with(
 /// Reusable per-call scratch for [`SpectrumAnalyzer::compute`].
 ///
 /// Keeping the scratch outside the analyzer makes the analyzer itself
-/// immutable (and therefore `Sync`-shareable across scan workers); each
-/// worker owns one `SpectrumScratch`.
+/// immutable (and therefore `Sync`-shareable across threads); each
+/// thread owns one `SpectrumScratch`.
 #[derive(Debug, Default, Clone)]
 pub struct SpectrumScratch {
     windowed: Vec<f64>,
@@ -187,7 +187,7 @@ impl SpectrumAnalyzer {
     /// into `out`, using caller-owned `scratch`.
     ///
     /// The analyzer itself is immutable (`&self`), so one analyzer can be
-    /// shared by many scan workers, each with its own scratch.
+    /// shared by many threads, each with its own scratch.
     ///
     /// # Panics
     ///

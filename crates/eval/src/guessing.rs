@@ -1,11 +1,11 @@
 //! Experiment E10 — Sec. V guessing probabilities.
 //!
-//! Quantifies the gap analyzed in DESIGN.md §5: the paper's claimed
-//! `1/(2^N−2)` single-guess probability holds for uniform-subset sampling
-//! but not for its own two-stage construction, and the replay probability
-//! is the square of the single-guess probability (the paper's `1/2^(N+1)`
-//! appears to be an algebra slip). Monte-Carlo estimates at a small grid
-//! size validate the closed forms.
+//! Quantifies the sampler gap derived in the `piano_core::signal` docs:
+//! the paper's claimed `1/(2^N−2)` single-guess probability holds for
+//! uniform-subset sampling but not for its own two-stage construction,
+//! and the replay probability is the square of the single-guess
+//! probability (the paper's `1/2^(N+1)` appears to be an algebra slip).
+//! Monte-Carlo estimates at a small grid size validate the closed forms.
 
 use serde::Serialize;
 

@@ -189,16 +189,17 @@ fn inject_interferer_pair(
     });
 }
 
-/// Runs `n` trials, parallelized across worker threads; results are in
-/// trial-index order and identical to a sequential run. The pool width
-/// follows [`piano_core::stream::scan_workers_from_env`], so the
-/// `PIANO_SCAN_WORKERS` knob that sizes the service scan driver also
-/// pins the trial runner (the CI matrix exercises both at 1 and 4).
+/// Runs `n` trials, parallelized across one worker thread per available
+/// core; results are in trial-index order and identical to a sequential
+/// run.
 pub fn run_trials(setup: &TrialSetup, n: usize) -> Vec<TrialOutcome> {
     if n == 0 {
         return Vec::new();
     }
-    let workers = piano_core::stream::scan_workers_from_env().min(n);
+    let workers = std::thread::available_parallelism()
+        .map(|p| p.get())
+        .unwrap_or(1)
+        .min(n);
     // One detector serves every worker: it is `Sync`, and sharing it means
     // plan construction happens once per batch, not once per trial.
     let detector = Arc::new(Detector::new(&setup.action));

@@ -22,8 +22,8 @@
 //! line or on its own comment line directly above:
 //!
 //! ```text
-//! // piano-lint: allow(wire-no-panic, reason = "poisoned worker must fail the scan")
-//! let shard = h.join().expect("coarse scan worker panicked");
+//! // piano-lint: allow(wire-no-panic, reason = "debug builds must fail loudly at the misordered lock")
+//! panic!("lock-order violation: acquiring `{name}` (rank {rank})");
 //! ```
 //!
 //! The `reason` is mandatory; every allow is listed in the report's

@@ -53,7 +53,7 @@
 //! produces decisions identical to feeding the same (quantized) samples
 //! to the [`piano_core::stream::AuthService`] directly: framing is
 //! exact, the i16 codec is lossless past quantization, and the scan
-//! layers underneath are chunking- and worker-count-invariant
+//! layers underneath are chunking-invariant
 //! (`tests/reactor_conformance.rs` pins the end-to-end conformance for
 //! 100 concurrent feeds, codec on and off). The guarantee extends across
 //! faults: a stream broken by a survivable disconnect and resumed via

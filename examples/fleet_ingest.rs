@@ -7,7 +7,6 @@
 //! PIANO_FLEET_FEEDS=500 cargo run --release --example fleet_ingest
 //! PIANO_WIRE_CODEC=off  cargo run --release --example fleet_ingest
 //! PIANO_NET_TCP=1       cargo run --release --example fleet_ingest   # loopback sockets
-//! PIANO_SCAN_WORKERS=4  cargo run --release --example fleet_ingest
 //! PIANO_NET_SHARDS=1    cargo run --release --example fleet_ingest   # one service shard
 //! PIANO_NET_FAULT_SEED=0xFA17 cargo run --release --example fleet_ingest  # chaos mode
 //! cargo run --release --example fleet_ingest -- --faults             # chaos, default seed
@@ -126,12 +125,8 @@ fn main() {
         .expect("shard 0 exists");
     println!(
         "fleet gateway{}: {feeds} feeds, codec {codec:?}, {shards} service shard(s), \
-         {} scan worker(s) per shard, one reactor thread",
+         one reactor thread",
         if fault_seed.is_some() { " (CHAOS)" } else { "" },
-        server
-            .service()
-            .with_default(|s| s.scan_driver().workers())
-            .expect("shard 0 exists"),
     );
     let reactor = server.start();
 

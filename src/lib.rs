@@ -73,8 +73,8 @@ pub mod prelude {
     pub use piano_core::piano::{AuthDecision, DenialReason, PianoAuthenticator, PianoConfig};
     pub use piano_core::signal::{ReferenceSignal, SignalSampler};
     pub use piano_core::stream::{
-        AuthService, AuthSession, ScanDriver, SessionEvent, SessionId, SessionPhase,
-        ShardedAuthService, StreamingDetector,
+        AuthService, AuthSession, SessionEvent, SessionId, SessionPhase, ShardedAuthService,
+        StreamingDetector,
     };
     pub use piano_core::stream::{DropCause, DropCounts, ServiceStats};
     pub use piano_core::wire::{FrameReader, IngestFeed, Message, WireCodec};
