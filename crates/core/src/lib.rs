@@ -45,8 +45,7 @@
 //!   `O(N log N)` transform per window.
 //! * Algorithm 1 runs serially, once per recording: throughput comes from
 //!   serving many sessions at once ([`stream::AuthService`] scan groups,
-//!   sharded services, the parallel trial runner), not from threads
-//!   inside one scan.
+//!   the parallel trial runner), not from threads inside one scan.
 //! * [`wire`] scales ingestion: framed [`wire::Message::AudioBatch`]
 //!   decoding ([`wire::FrameReader`]) plus watermark backpressure
 //!   ([`wire::IngestFeed`]) let one service meter thousands of remote

@@ -634,7 +634,7 @@ pub struct AuthSession {
     final_a: Option<Detection>,
     final_v: Option<Detection>,
     scan_ffts: usize,
-    scan_done: bool,
+    scan_concluded: bool,
     vouch_diff: Option<Option<f64>>,
     estimate: Option<DistanceEstimate>,
     decision: Option<AuthDecision>,
@@ -699,7 +699,7 @@ impl AuthSession {
             final_a: None,
             final_v: None,
             scan_ffts: 0,
-            scan_done: false,
+            scan_concluded: false,
             vouch_diff: None,
             estimate: None,
             decision: None,
@@ -740,7 +740,7 @@ impl AuthSession {
             final_a: None,
             final_v: None,
             scan_ffts: 0,
-            scan_done: false,
+            scan_concluded: false,
             vouch_diff: None,
             estimate: None,
             decision: None,
@@ -837,7 +837,7 @@ impl AuthSession {
     /// Exact end-of-stream detections `(S_A, S_V)` in this device's own
     /// recording, once [`finish_audio`](Self::finish_audio) has run.
     pub fn locations(&self) -> Option<(Detection, Detection)> {
-        if self.scan_done {
+        if self.scan_concluded {
             Some((self.final_a?, self.final_v?))
         } else {
             None
@@ -1048,7 +1048,7 @@ impl AuthSession {
             self.phase != SessionPhase::Idle,
             "push_audio before the challenge was sent/received"
         );
-        if self.phase == SessionPhase::Decided || self.scan_done {
+        if self.phase == SessionPhase::Decided || self.scan_concluded {
             return Vec::new();
         }
         if self.phase == SessionPhase::Challenged {
@@ -1104,7 +1104,7 @@ impl AuthSession {
             self.phase != SessionPhase::Idle,
             "finish_audio before the challenge was sent/received"
         );
-        if self.phase == SessionPhase::Decided || self.scan_done {
+        if self.phase == SessionPhase::Decided || self.scan_concluded {
             return Vec::new();
         }
         if self.phase == SessionPhase::Challenged {
@@ -1119,7 +1119,7 @@ impl AuthSession {
         self.final_a = Some(result.detections[0]);
         self.final_v = Some(result.detections[1]);
         self.scan_ffts = result.ffts_used;
-        self.scan_done = true;
+        self.scan_concluded = true;
         let mut events = vec![
             SessionEvent::SignalLocated {
                 role: SignalRole::Auth,
@@ -1179,7 +1179,7 @@ impl AuthSession {
         sv: Detection,
         ffts_used: usize,
     ) -> Vec<SessionEvent> {
-        if self.phase == SessionPhase::Decided || self.scan_done {
+        if self.phase == SessionPhase::Decided || self.scan_concluded {
             return Vec::new();
         }
         if self.phase == SessionPhase::Challenged {
@@ -1188,7 +1188,7 @@ impl AuthSession {
         self.final_a = Some(sa);
         self.final_v = Some(sv);
         self.scan_ffts = ffts_used;
-        self.scan_done = true;
+        self.scan_concluded = true;
         let mut events = vec![
             SessionEvent::SignalLocated {
                 role: SignalRole::Auth,
@@ -1224,7 +1224,7 @@ impl AuthSession {
     /// The locations to conclude from: exact results when the scan is
     /// done, provisional ones when early decision is enabled.
     fn conclusion_locations(&self) -> Option<(Detection, Detection)> {
-        if self.scan_done {
+        if self.scan_concluded {
             Some((self.final_a?, self.final_v?))
         } else if self.early_decision {
             Some((self.early_a?, self.early_v?))
@@ -1436,7 +1436,7 @@ pub struct ServiceStats {
     pub busy_replies: u64,
     /// [`Message::Credit`] replies sent (drained backlogs).
     pub credit_replies: u64,
-    /// Sessions that reached a decision.
+    /// Sessions that reached a decision, summed over the epoch scans.
     pub sessions_decided: u64,
     /// [`connections_dropped`](Self::connections_dropped) broken down by
     /// [`DropCause`]; `drops.total() == connections_dropped` when the
@@ -1557,11 +1557,6 @@ pub struct AuthService {
     sessions: BTreeMap<SessionId, AuthSession>,
     groups: Vec<ScanGroup>,
     next_id: u64,
-    /// Distance between consecutively assigned session ids. `1` for a
-    /// standalone service; a [`ShardedAuthService`] gives shard `k` of
-    /// `n` the allocation `(start = k, step = n)` so id → shard routing
-    /// is pure arithmetic (`id % n`) and ids never collide across shards.
-    id_step: u64,
     last_outcome: Option<ActionOutcome>,
 }
 
@@ -1583,26 +1578,8 @@ impl AuthService {
             sessions: BTreeMap::new(),
             groups: Vec::new(),
             next_id: 0,
-            id_step: 1,
             last_outcome: None,
         }
-    }
-
-    /// Strided session-id allocation: the next opened session gets
-    /// `start`, the one after `start + step`, and so on. Must be called
-    /// before any session is opened; `step` must be non-zero.
-    ///
-    /// This is how a [`ShardedAuthService`] keeps shard-assigned ids
-    /// globally unique while making the owning shard recoverable from an
-    /// id alone (`id % step`).
-    pub fn set_session_id_allocation(&mut self, start: u64, step: u64) {
-        debug_assert!(step > 0, "id step must be non-zero");
-        debug_assert!(
-            self.sessions.is_empty(),
-            "id allocation must be fixed before sessions open"
-        );
-        self.next_id = start;
-        self.id_step = step.max(1);
     }
 
     /// The configuration in force.
@@ -1743,7 +1720,7 @@ impl AuthService {
             session.enable_early_decision();
         }
         let id = SessionId(self.next_id);
-        self.next_id = self.next_id.wrapping_add(self.id_step);
+        self.next_id = self.next_id.wrapping_add(1);
         let group = self
             .groups
             .iter_mut()
@@ -1926,211 +1903,91 @@ impl AuthService {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded service
+// Locked service handle
 // ---------------------------------------------------------------------------
 
-/// Lock rank of the route table: acquired (briefly) before a shard lock
-/// when an open must pick a shard, never after one.
-const ROUTE_RANK: u32 = 18;
+/// Lock rank of the service lock. The gateway opens sessions while it
+/// holds its RNG (rank 12), so this sits above it.
+const SERVICE_RANK: u32 = 20;
 
-/// Lock rank shared by every per-shard service lock. Equal ranks mean
-/// the debug-build [`OrderedMutex`] checker panics if two shard locks
-/// are ever nested — the sharded service never needs that, and banning
-/// it keeps shard ticks free to run concurrently without deadlock risk.
-const SHARD_RANK: u32 = 20;
-
-/// An [`AuthService`] split into independently locked shards, one per
-/// scan group (really: per distinct [`ActionConfig`], assigned round-robin
-/// once the configs outnumber the shards), so audio ticks on different
-/// configurations never contend on one service lock.
+/// One [`AuthService`] behind one [`OrderedMutex`]: the handle a gateway
+/// shares between its event loop and host threads. Every call locks the
+/// service for its own duration.
 ///
-/// Session ids stay globally unique and self-routing: shard `k` of `n`
-/// allocates ids `k, k+n, k+2n, …` (see
-/// [`AuthService::set_session_id_allocation`]), so every per-session call
-/// finds its shard with one modulo — no shared lookup table on the hot
-/// path. Opening draws from the caller's single RNG in call order, so a
-/// seeded run remains reproducible regardless of the shard count, and a
-/// one-shard instance behaves exactly like a plain `AuthService` behind
-/// a lock.
-///
-/// Scan groups never span shards (a group is keyed by detector identity
-/// *within* one service), so per-shard scans are independent and their
-/// results are bit-identical to an unsharded run over the same sessions.
+/// The name is historical: the service is not split. Sessions on every
+/// [`ActionConfig`] share this one lock, and scan groups are kept apart
+/// inside the [`AuthService`].
 #[derive(Debug)]
 pub struct ShardedAuthService {
-    shards: Vec<OrderedMutex<AuthService>>,
-    /// Distinct configurations seen so far → owning shard, in first-seen
-    /// order. Sessions with equal configs must land on the same shard
-    /// (they share a scan group); the default config pre-routes to
-    /// shard 0.
-    routes: OrderedMutex<Vec<(ActionConfig, usize)>>,
+    service: OrderedMutex<AuthService>,
 }
 
 impl ShardedAuthService {
-    /// A service over `shard_count` shards (clamped to at least 1), each
-    /// an [`AuthService::new`] of `config` with a strided id allocation.
+    /// A locked [`AuthService::new`] of `config`. `shard_count` is
+    /// ignored; it is kept so existing callers compile.
     ///
     /// # Panics
     ///
     /// Panics if `config.action` fails validation, as [`AuthService::new`]
     /// does.
     pub fn new(config: PianoConfig, shard_count: usize) -> Self {
-        let n = shard_count.max(1);
-        let mut shards = Vec::with_capacity(n);
-        for k in 0..n {
-            let mut svc = AuthService::new(config.clone());
-            svc.set_session_id_allocation(k as u64, n as u64);
-            shards.push(OrderedMutex::new(SHARD_RANK, "service.shard", svc));
-        }
-        let default_route = vec![(config.action.clone(), 0)];
+        let _ = shard_count;
         ShardedAuthService {
-            shards,
-            routes: OrderedMutex::new(ROUTE_RANK, "service.routes", default_route),
+            service: OrderedMutex::new(SERVICE_RANK, "service", AuthService::new(config)),
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `id`, by the strided-id arithmetic.
-    pub fn shard_of(&self, id: SessionId) -> usize {
-        (id.0 % self.shards.len().max(1) as u64) as usize
-    }
-
-    /// Runs `f` against shard `idx`'s service; `None` when out of range.
-    pub fn with_shard<R>(&self, idx: usize, f: impl FnOnce(&mut AuthService) -> R) -> Option<R> {
-        self.shards.get(idx).map(|s| f(&mut s.lock()))
-    }
-
-    /// Runs `f` against the default configuration's shard (shard 0).
+    /// Runs `f` against the service. Always `Some`.
     pub fn with_default<R>(&self, f: impl FnOnce(&mut AuthService) -> R) -> Option<R> {
-        self.with_shard(0, f)
+        Some(f(&mut self.service.lock()))
     }
 
-    /// Runs `f` against the shard owning `id`.
-    pub fn with_session_shard<R>(
-        &self,
-        id: SessionId,
-        f: impl FnOnce(&mut AuthService) -> R,
-    ) -> Option<R> {
-        self.with_shard(self.shard_of(id), f)
-    }
-
-    /// Read access to one session, wherever it lives.
-    pub fn with_session<R>(&self, id: SessionId, f: impl FnOnce(&AuthSession) -> R) -> Option<R> {
-        self.shards
-            .get(self.shard_of(id))
-            .and_then(|s| s.lock().session(id).map(f))
-    }
-
-    /// The shard a session opened under `action` must join: the existing
-    /// route for an equal config, else the next shard round-robin.
-    fn route_for(&self, action: &ActionConfig) -> usize {
-        let mut routes = self.routes.lock();
-        if let Some(&(_, shard)) = routes.iter().find(|(a, _)| a == action) {
-            return shard;
-        }
-        let shard = routes.len() % self.shards.len().max(1);
-        routes.push((action.clone(), shard));
-        shard
-    }
-
-    /// Opens a session under the default configuration on shard 0. See
-    /// [`AuthService::open_session`].
+    /// See [`AuthService::open_session`].
     pub fn open_session(&self, early_decision: bool, rng: &mut ChaCha8Rng) -> SessionId {
-        self.shards
-            .first()
-            .map(|s| s.lock().open_session(early_decision, rng))
-            .unwrap_or(SessionId(0))
+        self.service.lock().open_session(early_decision, rng)
     }
 
-    /// Opens a session with an explicit configuration on its routed
-    /// shard. See [`AuthService::open_session_with`].
-    pub fn open_session_with(
-        &self,
-        action: &ActionConfig,
-        threshold_m: f64,
-        early_decision: bool,
-        rng: &mut ChaCha8Rng,
-    ) -> SessionId {
-        let shard = self.route_for(action);
-        self.shards
-            .get(shard)
-            .or_else(|| self.shards.first())
-            .map(|s| {
-                s.lock()
-                    .open_session_with(action, threshold_m, early_decision, rng)
-            })
-            .unwrap_or(SessionId(0))
-    }
-
-    /// Routes a wire message to the owning shard's session. See
-    /// [`AuthService::handle_message`].
+    /// See [`AuthService::handle_message`].
     ///
     /// # Errors
     ///
-    /// As [`AuthService::handle_message`]; also [`PianoError::Wire`] when
-    /// `id` routes to no shard.
+    /// As [`AuthService::handle_message`].
     pub fn handle_message(
         &self,
         id: SessionId,
         msg: Message,
     ) -> Result<Vec<SessionEvent>, PianoError> {
-        match self.with_session_shard(id, |svc| svc.handle_message(id, msg)) {
-            Some(r) => r,
-            None => Err(PianoError::Wire(format!("unknown session {id:?}"))),
-        }
+        self.service.lock().handle_message(id, msg)
     }
 
-    /// Pops the next outgoing message of one session.
+    /// See [`AuthService::poll_transmit`].
     pub fn poll_transmit(&self, id: SessionId) -> Option<Message> {
-        self.with_session_shard(id, |svc| svc.poll_transmit(id))?
+        self.service.lock().poll_transmit(id)
     }
 
     /// The decision of a session, if it has one (cloned out of the lock).
     pub fn decision(&self, id: SessionId) -> Option<AuthDecision> {
-        self.with_session_shard(id, |svc| svc.decision(id).cloned())?
+        self.service.lock().decision(id).cloned()
     }
 
-    /// Closes a session on its owning shard.
+    /// See [`AuthService::close_session`].
     pub fn close_session(&self, id: SessionId) -> Option<AuthSession> {
-        self.with_session_shard(id, |svc| svc.close_session(id))?
+        self.service.lock().close_session(id)
     }
 
-    /// Open sessions across all shards.
+    /// See [`AuthService::session_count`].
     pub fn session_count(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().session_count()).sum()
+        self.service.lock().session_count()
     }
 
-    /// Decided sessions across all shards.
-    pub fn sessions_decided(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().sessions_decided())
-            .sum()
-    }
-
-    /// Feeds one shared-audio chunk to every shard, in shard order: one
-    /// coarse pass per scan group per tick, exactly as the unsharded
-    /// service, with each shard's lock held only for its own groups.
+    /// See [`AuthService::push_audio`].
     pub fn push_audio(&self, samples: &[f64]) -> Vec<(SessionId, SessionEvent)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.lock().push_audio(samples));
-        }
-        out
+        self.service.lock().push_audio(samples)
     }
 
-    /// Concludes the shared recording on every shard. See
-    /// [`AuthService::finish_audio`].
+    /// See [`AuthService::finish_audio`].
     pub fn finish_audio(&self) -> Vec<(SessionId, SessionEvent)> {
-        let mut out = Vec::new();
-        for s in &self.shards {
-            out.extend(s.lock().finish_audio());
-        }
-        out
+        self.service.lock().finish_audio()
     }
 }
 
@@ -2867,83 +2724,5 @@ mod tests {
             .is_err());
         assert!(service.close_session(id1).is_some());
         assert_eq!(service.session_count(), 1);
-    }
-
-    #[test]
-    fn sharded_ids_stride_by_shard_and_route_back() {
-        let cfg = PianoConfig::with_threshold(2.0);
-        let svc = ShardedAuthService::new(cfg.clone(), 3);
-        assert_eq!(svc.shard_count(), 3);
-        let mut r = rng(80);
-        // Default-config opens land on shard 0 with ids 0, 3, 6, …
-        let a = svc.open_session(false, &mut r);
-        let b = svc.open_session(false, &mut r);
-        assert_eq!((a.0, b.0), (0, 3));
-        // A distinct config routes round-robin to shard 1; equal configs
-        // share the route, so both ids are ≡ 1 (mod 3).
-        let mut alt = cfg.action.clone();
-        alt.coarse_step = 500;
-        let c = svc.open_session_with(&alt, 2.0, false, &mut r);
-        let d = svc.open_session_with(&alt, 2.0, false, &mut r);
-        assert_eq!((c.0, d.0), (1, 4));
-        assert_eq!(svc.shard_of(c), 1);
-        assert_eq!(svc.shard_of(d), 1);
-        // Every per-session accessor finds the owning shard by modulo
-        // alone — no lookup table consulted.
-        for id in [a, b, c, d] {
-            assert!(svc.with_session(id, |s| s.session_id()).is_some());
-        }
-        assert_eq!(svc.session_count(), 4);
-        assert!(svc.close_session(c).is_some());
-        assert_eq!(svc.session_count(), 3);
-        assert!(svc.decision(c).is_none());
-    }
-
-    #[test]
-    fn sharded_scan_results_match_unsharded_bit_for_bit() {
-        // The same four-session, two-config scenario under 1, 2, and 4
-        // shards must produce identical events and scan FFTs: scan
-        // groups never span shards, and opening draws from one RNG in
-        // call order, so the shard count is unobservable in results.
-        let run = |shards: usize| {
-            let cfg = PianoConfig::with_threshold(2.0);
-            let mut alt = cfg.action.clone();
-            alt.coarse_step = 500;
-            let svc = ShardedAuthService::new(cfg.clone(), shards);
-            let mut r = rng(81);
-            let ids = [
-                svc.open_session(false, &mut r),
-                svc.open_session_with(&alt, 2.0, false, &mut r),
-                svc.open_session(false, &mut r),
-                svc.open_session_with(&alt, 2.0, false, &mut r),
-            ];
-            let mut hub = vec![0.0; 50_000];
-            for (i, &id) in ids.iter().enumerate() {
-                let w = svc
-                    .with_session(id, |s| s.playback_waveform())
-                    .flatten()
-                    .unwrap();
-                embed_into(&mut hub, &w, 3_000 + i * 10_000, 0.5);
-            }
-            let mut events = Vec::new();
-            // Big ticks so multi-shard runs see several groups per tick.
-            for c in hub.chunks(13_000) {
-                events.extend(svc.push_audio(c));
-            }
-            events.extend(svc.finish_audio());
-            // Ids are shard-strided, so normalize to opening order
-            // before comparing across shard counts; the stable sort
-            // keeps each session's own event order intact.
-            let mut events: Vec<(usize, SessionEvent)> = events
-                .into_iter()
-                .map(|(id, ev)| (ids.iter().position(|&i| i == id).unwrap(), ev))
-                .collect();
-            events.sort_by_key(|&(i, _)| i);
-            let ffts = ids.map(|id| svc.with_session(id, |s| s.scan_ffts()).unwrap());
-            (events, ffts)
-        };
-        let unsharded = run(1);
-        assert_eq!(unsharded, run(2));
-        assert_eq!(unsharded, run(4));
     }
 }

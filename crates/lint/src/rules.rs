@@ -32,13 +32,7 @@ pub const WIRE_ROOTS: &[(&str, &str)] = &[
 /// The gateway's lock order — the ranks its `OrderedMutex`es carry at
 /// runtime (`mod rank` in `crates/net/src/reactor.rs`): lower rank first;
 /// equal or higher rank while held is an inversion.
-const LOCK_RANKS: &[(&str, u32)] = &[
-    ("progress", 10),
-    ("rng", 12),
-    ("inbox", 40),
-    ("ids", 50),
-    ("core", 60),
-];
+const LOCK_RANKS: &[(&str, u32)] = &[("progress", 10), ("rng", 12), ("inbox", 40), ("core", 60)];
 
 /// Blocking transport calls that must never run under a server lock.
 const BLOCKING_IO: &[&str] = &[

@@ -6,8 +6,8 @@ impl ReactorServer {
     fn scan_and_reply(&self, sh: &Shared, t: &mut Conn) {
         let frame = {
             let progress = sh.progress.lock();
-            let ids = sh.ids.lock();
-            ids.frame_for(progress.round)
+            let inbox = sh.inbox.lock();
+            inbox.frame_for(progress.round)
         };
         t.write_all(&frame);
     }

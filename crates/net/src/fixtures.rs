@@ -111,67 +111,67 @@ pub fn hub_recording_for(service: &AuthService, ids: &[SessionId]) -> Vec<f64> {
 }
 
 /// The fleet without any transport — the baseline every gateway run is
-/// compared against: `feeds` voucher sessions opened on one unsharded
+/// compared against: `feeds` voucher sessions opened on one
 /// [`AuthService`] at τ = 1 m (session randomness drawn from `seed` in
 /// feed order, as a seeded gateway draws it in handshake order), fed
 /// their [`feed_recording`] directly in 1 024-sample chunks, reports
 /// routed by hand, and one [`hub_recording_for`] scanned on the service.
 /// Decisions in feed order.
 pub fn direct_decisions(seed: u64, feeds: usize) -> Vec<AuthDecision> {
+    direct_epoch_decisions(seed, &[feeds]).concat()
+}
+
+/// [`direct_decisions`] over consecutive epochs on one service, as one
+/// long-lived gateway serves them: epoch `k` opens `epochs[k]` sessions
+/// from one RNG continued across epochs, scans its own hub recording,
+/// and closes its sessions. Decisions per epoch, in feed order.
+pub fn direct_epoch_decisions(seed: u64, epochs: &[usize]) -> Vec<Vec<AuthDecision>> {
     let mut service = AuthService::new(PianoConfig::with_threshold(1.0));
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let config = service.config().action.clone();
-    let mut ids = Vec::with_capacity(feeds);
-    for _ in 0..feeds {
-        let id = service.open_session(false, &mut rng);
-        let challenge = service.poll_transmit(id).expect("challenge");
-        let mut voucher = AuthSession::voucher_with(Arc::clone(service.detector()));
-        let rec = feed_recording(&challenge, &config);
-        voucher.handle_message(challenge).expect("challenge ok");
-        for chunk in rec.chunks(1_024) {
-            let _ = voucher.push_audio(chunk);
+    let mut decisions = Vec::with_capacity(epochs.len());
+    for &feeds in epochs {
+        let mut ids = Vec::with_capacity(feeds);
+        for _ in 0..feeds {
+            let id = service.open_session(false, &mut rng);
+            let challenge = service.poll_transmit(id).expect("challenge");
+            let mut voucher = AuthSession::voucher_with(Arc::clone(service.detector()));
+            let rec = feed_recording(&challenge, &config);
+            voucher.handle_message(challenge).expect("challenge ok");
+            for chunk in rec.chunks(1_024) {
+                let _ = voucher.push_audio(chunk);
+            }
+            let _ = voucher.finish_audio();
+            let report = voucher.poll_transmit().expect("report");
+            service.handle_message(id, report).expect("routed");
+            ids.push(id);
         }
-        let _ = voucher.finish_audio();
-        let report = voucher.poll_transmit().expect("report");
-        service.handle_message(id, report).expect("routed");
-        ids.push(id);
+        let hub = hub_recording_for(&service, &ids);
+        for chunk in hub.chunks(16_384) {
+            let _ = service.push_audio(chunk);
+        }
+        let _ = service.finish_audio();
+        decisions.push(
+            ids.iter()
+                .map(|&id| {
+                    let session = service.close_session(id).expect("open");
+                    session.decision().expect("decided").clone()
+                })
+                .collect(),
+        );
     }
-    let hub = hub_recording_for(&service, &ids);
-    for chunk in hub.chunks(16_384) {
-        let _ = service.push_audio(chunk);
-    }
-    let _ = service.finish_audio();
-    ids.iter()
-        .map(|id| service.decision(*id).expect("decided").clone())
-        .collect()
+    decisions
 }
 
-/// [`hub_recording_for`] over a sharded service: identical geometry,
-/// with each session's waveforms fetched from its owning shard. `ids`
-/// must be in opening order — shard-strided ids interleave, so sorting
-/// would scramble the geometry.
+/// [`hub_recording_for`] over a gateway's locked service.
 pub fn hub_recording_sharded(service: &ShardedAuthService, ids: &[SessionId]) -> Vec<f64> {
-    let live: Vec<(Vec<f64>, Vec<f64>)> = ids
-        .iter()
-        .filter_map(|&id| {
-            service.with_session(id, |session| {
-                let wave_a = session.waveform_of(SignalRole::Auth).expect("S_A known");
-                let wave_v = session.waveform_of(SignalRole::Vouch).expect("S_V known");
-                (wave_a, wave_v)
-            })
-        })
-        .collect();
-    let mut hub = vec![0.0f64; live.len() * STRIDE + FEED_REC_LEN];
-    for (i, (wave_a, wave_v)) in live.iter().enumerate() {
-        let base = i * STRIDE;
-        embed(&mut hub, wave_a, base + FEED_SA_OFFSET, 0.4);
-        embed(&mut hub, wave_v, base + HUB_SV_OFFSET, 0.3);
-    }
-    hub
+    service
+        .with_default(|svc| hub_recording_for(svc, ids))
+        .unwrap_or_default()
 }
 
-/// [`hub_recording_sharded`] over every session a [`ReactorServer`]'s
-/// connections opened, in opening order.
+/// [`hub_recording_sharded`] over the open epoch of a [`ReactorServer`],
+/// in opening order.
 pub fn hub_recording_reactor(server: &ReactorServer) -> Vec<f64> {
-    hub_recording_sharded(server.service(), &server.session_ids())
+    hub_recording_sharded(server.service(), &server.epoch_session_ids())
 }

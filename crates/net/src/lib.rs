@@ -30,8 +30,9 @@
 //!   event-loop thread serving every connection over nonblocking reads,
 //!   with per-phase deadlines on a timer wheel, a suspend/resume
 //!   registry, admission-control shedding, standing re-challenge
-//!   rounds, and service state sharded per scan group
-//!   ([`piano_core::stream::ShardedAuthService`]). Its knobs are
+//!   rounds, and one [`piano_core::stream::AuthService`] that it scans
+//!   once per numbered epoch, first authentications and re-challenge
+//!   rounds alike, for as long as the server lives. Its knobs are
 //!   [`reactor::ServerConfig`]. Connection cost is bytes of state
 //!   instead of an OS thread.
 //! * [`client`] — the client-side [`client::FeedHandle`] that paces sends

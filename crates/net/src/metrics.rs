@@ -24,6 +24,8 @@ pub(crate) struct Counters {
     pub(crate) peak_feed_backlog: AtomicU64,
     pub(crate) busy_replies: AtomicU64,
     pub(crate) credit_replies: AtomicU64,
+    /// Sessions decided, added to by every epoch scan.
+    pub(crate) sessions_decided: AtomicU64,
     /// Per-[`DropCause`] drop counts, indexed by [`cause_slot`].
     pub(crate) drops: [AtomicU64; 6],
 }
@@ -51,9 +53,8 @@ impl Counters {
         self.drops[cause_slot(cause)].fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time [`ServiceStats`] snapshot over these counters;
-    /// `sessions_decided` comes from the owning service.
-    pub(crate) fn snapshot(&self, sessions_decided: u64) -> ServiceStats {
+    /// A point-in-time [`ServiceStats`] snapshot over these counters.
+    pub(crate) fn snapshot(&self) -> ServiceStats {
         let get = |cause: DropCause| self.drops[cause_slot(cause)].load(Ordering::Relaxed);
         ServiceStats {
             connections: self.connections.load(Ordering::Relaxed),
@@ -75,7 +76,7 @@ impl Counters {
             peak_feed_backlog: self.peak_feed_backlog.load(Ordering::Relaxed),
             busy_replies: self.busy_replies.load(Ordering::Relaxed),
             credit_replies: self.credit_replies.load(Ordering::Relaxed),
-            sessions_decided,
+            sessions_decided: self.sessions_decided.load(Ordering::Relaxed),
         }
     }
 }

@@ -75,8 +75,10 @@
 //! broke — the delivered sample stream is byte-identical to an unbroken
 //! run. A `Resume` probe that arrives *before* the loss is discovered
 //! parks as a connection state (`Phase::PendingResume`) and is adopted
-//! the moment the loss lands, with no polling. Suspensions that outlive
-//! the window are dropped under [`DropCause::ResumeExpired`].
+//! the moment the loss lands, with no polling. A reported feed whose
+//! transport dies before its verdict is suspended the same way, and its
+//! resume is answered with the verdict. Suspensions that outlive the
+//! window are dropped under [`DropCause::ResumeExpired`].
 //!
 //! # Overload shedding
 //!
@@ -87,19 +89,21 @@
 //! connections count in [`ServiceStats::connections_shed`], not as
 //! drops.
 //!
-//! # One scan epoch
+//! # Epochs
 //!
-//! A scan group's signature set is fixed once hub audio flows, so a
-//! `ReactorServer` serves one authentication *epoch*: connections
-//! arrive and stream, the host calls [`ReactorServer::scan_and_decide`]
-//! with the hub microphone's recording once every feed reported (see
-//! [`ReactorServer::wait_for_reports`]), and the reactor delivers the
-//! verdicts. Nothing resets the scan once it ran: a feed that reports
-//! after the first hub scan is denied with a protocol failure without
-//! its audio being hub-scanned, and a second `scan_and_decide` returns
-//! the first scan's count at once. Hosts serving repeated epochs build a
-//! fresh server per epoch; re-verification of granted feeds goes
-//! through standing sessions below.
+//! A scan group's signature set is fixed once hub audio flows, so the
+//! gateway serves authentication in numbered *epochs*. A session belongs
+//! to the epoch that is open when it opens; first authentications
+//! (`Hello`) and re-challenge rounds (below) join the same epoch. The
+//! host waits until the epoch's feeds reported
+//! ([`ReactorServer::wait_for_reports`]) and posts the hub microphone's
+//! recording ([`ReactorServer::scan_and_decide`]). The reactor scans it
+//! once for every session of the epoch, writes each waiting verdict, and
+//! opens the next epoch, so one long-lived server serves epoch after
+//! epoch. A feed that reports after its epoch's scan is answered at once:
+//! the scan already located its signals. A session closes once its
+//! verdict is written or its resume window lapses, so the service does
+//! not grow across epochs.
 //!
 //! # Standing sessions and wire re-challenge
 //!
@@ -114,20 +118,12 @@
 //! client plays and records, streams the recording back as
 //! [`Message::RecheckAudio`] frames, the gateway voucher re-ranges and
 //! routes a fresh Step V report, the host scans one hub recording for
-//! the whole round ([`ReactorServer::recheck_scan_and_decide`] — one
-//! coarse pass for every standing feed), and the connection receives
+//! the whole round (a round is an epoch: one coarse pass for every
+//! standing feed), and the connection receives
 //! [`Message::RecheckVerdict`]. Rounds repeat until
 //! [`ReactorServer::end_standing`]. Risk-adaptive round *timing* is the
 //! host's job — drive it from [`piano_core::continuum::Continuum`]'s
 //! timer wheel.
-//!
-//! # Sharding
-//!
-//! The service is a [`ShardedAuthService`], so feeds on different
-//! [`ActionConfig`](piano_core::config::ActionConfig)s tick their scans
-//! under different locks (shard routing is by strided session id — see
-//! the type's docs), and the host-facing wait/scan calls are mailbox
-//! messages to the reactor instead of lock-and-block rendezvous.
 //!
 //! [`AuthService`]: piano_core::stream::AuthService
 
@@ -235,54 +231,53 @@ impl Default for ServerConfig {
 }
 
 /// Lock ranks of the [`Shared`] mutexes: acquisition must ascend. `rng`
-/// sits *below* the [`ShardedAuthService`] shard rank (20) because a
-/// handshake holds the RNG while the service routes into a shard.
+/// sits *below* the [`ShardedAuthService`] lock (rank 20) because a
+/// handshake holds the RNG while it opens a service session.
 mod rank {
     pub(super) const PROGRESS: u32 = 10;
     pub(super) const RNG: u32 = 12;
     pub(super) const INBOX: u32 = 40;
-    pub(super) const IDS: u32 = 50;
     pub(super) const CORE: u32 = 60;
+}
+
+/// One scan epoch: the sessions opened while it is open, and how far the
+/// wait for their reports has got.
+#[derive(Debug, Default)]
+struct Epoch {
+    /// 1, 2, 3, … in opening order.
+    number: u64,
+    /// Step V reports routed into the service.
+    reports: usize,
+    /// Feeds that failed out before reporting — counted so the report
+    /// wait cannot hang on reports that will never arrive.
+    drops: usize,
+    /// Service sessions in opening order (the hub-geometry order).
+    ids: Vec<SessionId>,
+    /// Sessions the epoch's scan decided (set by the scan).
+    decided: usize,
 }
 
 /// Cross-thread progress state guarded by one mutex (+ condvar).
 #[derive(Debug, Default)]
 struct Progress {
-    /// Step V reports routed into the service so far.
-    reports: usize,
-    /// Feeds dropped for protocol violations or deadline misses —
-    /// counted here so [`ReactorServer::wait_for_reports`] can stop
-    /// waiting for feeds that will never report.
-    dropped: usize,
+    /// The open epoch: sessions opened now join it.
+    epoch: Epoch,
+    /// The last scanned epoch (number 0 before the first scan).
+    scanned: Epoch,
+    /// Every first-authentication session id, in opening order.
+    first_ids: Vec<SessionId>,
     /// Feeds attached and streaming right now — the admission-control
     /// population [`ServerConfig::max_active_feeds`] bounds.
     active: usize,
-    /// The hub scan finished: decisions are available.
-    scan_done: bool,
-    /// Sessions the hub scan decided (valid once `scan_done`).
-    decided: usize,
     /// Verdicts actually delivered to their connections, in delivery
     /// order.
     outcomes: Vec<(SessionId, AuthDecision)>,
     /// Granted feeds parked in [`Phase::Standing`], awaiting re-challenge
     /// rounds.
     standing: usize,
-    /// The re-check round the host last commanded (0 = none yet).
+    /// The re-check round the host last opened (0 = none yet) — the
+    /// round number the wire carries.
     recheck_round: u64,
-    /// Standing feeds that routed their report for the current round.
-    recheck_ready: usize,
-    /// Standing feeds that failed out of the current round (their report
-    /// will never arrive — the recheck wait counts them so it cannot
-    /// hang).
-    recheck_dropped: usize,
-    /// The last round whose hub scan concluded (verdicts delivered).
-    recheck_scanned: u64,
-    /// Sessions the last recheck scan decided (valid once
-    /// `recheck_scanned` catches `recheck_round`).
-    recheck_decided: usize,
-    /// Per-round service sessions opened by standing feeds, in opening
-    /// order (the hub-geometry order), cleared by each round's scan.
-    recheck_ids: Vec<SessionId>,
 }
 
 /// Host-to-reactor mailbox: drained at the top of every loop turn.
@@ -295,8 +290,6 @@ struct Inbox {
     /// A re-challenge round to open on every standing connection
     /// ([`ReactorServer::begin_recheck_round`]).
     recheck: Option<u64>,
-    /// A pending [`ReactorServer::recheck_scan_and_decide`] request.
-    recheck_scan: Option<ScanRequest>,
     /// [`ReactorServer::end_standing`] was called.
     end_standing: bool,
     /// [`ReactorServer::shutdown`] was called.
@@ -315,9 +308,12 @@ struct ScanRequest {
 enum Parked {
     /// Mid-stream: the feed continues from `feed.next_seq()`.
     Streaming(Box<FeedState>),
-    /// The verdict is (or will be) available; a resume just re-delivers
-    /// the `Decision` frame the client never received.
-    Decided { id: SessionId },
+    /// Reported: a resume is answered with the verdict — the one already
+    /// written (`Some`, its session closed), or the epoch scan's.
+    Decided {
+        id: SessionId,
+        verdict: Option<AuthDecision>,
+    },
 }
 
 /// One entry in the resume registry. `gen` pairs the entry with its
@@ -348,20 +344,21 @@ enum Phase {
     Handshake,
     /// Attached and streaming audio.
     Streaming(Box<FeedState>),
-    /// Reported; waiting for the hub scan's verdict.
+    /// Reported; waiting for the epoch scan's verdict. A close suspends
+    /// the feed (or drops it without a resume window).
     AwaitDecision { id: SessionId, wire_session: u64 },
     /// Granted and parked for continuous re-verification
     /// ([`ServerConfig::standing`]): the connection stays open, idle
-    /// between re-challenge rounds. Nothing is read here — a silently
-    /// dead transport is discovered (and accounted) at its next round's
-    /// `Recheck` write.
+    /// between re-challenge rounds. A close leaves the standing
+    /// population; a silently dead transport is discovered at its next
+    /// round's `Recheck` write.
     Standing { wire_session: u64 },
     /// A re-challenge round is in flight: [`Message::Recheck`] was
     /// written, the round's [`Message::RecheckAudio`] stream is being
     /// ingested under a [`ServerConfig::recheck_timeout`] wheel entry.
     Rechecking(Box<RecheckState>),
-    /// The round's report is routed; waiting for the host's recheck scan
-    /// to conclude under a decision-timeout wheel entry.
+    /// The round's report is routed; waiting for the epoch scan under a
+    /// decision-timeout wheel entry.
     AwaitRecheckVerdict {
         id: SessionId,
         wire_session: u64,
@@ -414,14 +411,6 @@ struct Core {
     /// Tokens with work queued for the next turn (backlog to drain,
     /// readiness observed, freshly admitted).
     runnable: BTreeSet<usize>,
-    /// The hub scan has started: sessions can no longer be closed.
-    scan_started: bool,
-    /// The hub scan finished (reactor-local mirror of
-    /// [`Progress::scan_done`]).
-    scan_done: bool,
-    /// The last re-check round whose scan concluded (reactor-local
-    /// mirror of [`Progress::recheck_scanned`]).
-    recheck_scanned: u64,
     /// Standing service has ended: standing connections close instead of
     /// re-parking.
     standing_over: bool,
@@ -439,9 +428,6 @@ impl Core {
             scratch: vec![0u8; READ_BUF_BYTES],
             probe: BTreeSet::new(),
             runnable: BTreeSet::new(),
-            scan_started: false,
-            scan_done: false,
-            recheck_scanned: 0,
             standing_over: false,
             gen_counter: 0,
         }
@@ -450,15 +436,13 @@ impl Core {
 
 /// State shared between the reactor thread and host threads.
 struct Shared {
-    /// The sharded service: per-session calls lock only the owning
-    /// shard, so ticks on different configurations never contend.
+    /// The service every session opens in.
     service: ShardedAuthService,
     rng: OrderedMutex<ChaCha8Rng>,
     cfg: ServerConfig,
     counters: Counters,
     progress: OrderedMutex<Progress>,
     progress_cv: Condvar,
-    ids: OrderedMutex<Vec<SessionId>>,
     /// The readiness queue the reactor sleeps on.
     ready: Arc<ReadySet>,
     inbox: OrderedMutex<Inbox>,
@@ -475,7 +459,7 @@ struct Shared {
     pool: FramePool,
 }
 
-/// The readiness-reactor ingest server over a [`ShardedAuthService`].
+/// The readiness-reactor ingest server over one [`ShardedAuthService`].
 /// Cheap to clone (an `Arc` handle): clone one into the thread that
 /// calls [`run`](Self::run), keep another for registration and the
 /// scan/wait calls.
@@ -498,10 +482,15 @@ impl ReactorServer {
                 progress: OrderedMutex::new(
                     rank::PROGRESS,
                     "reactor.progress",
-                    Progress::default(),
+                    Progress {
+                        epoch: Epoch {
+                            number: 1,
+                            ..Epoch::default()
+                        },
+                        ..Progress::default()
+                    },
                 ),
                 progress_cv: Condvar::new(),
-                ids: OrderedMutex::new(rank::IDS, "reactor.ids", Vec::new()),
                 ready: Arc::new(ReadySet::new()),
                 inbox: OrderedMutex::new(rank::INBOX, "reactor.inbox", Inbox::default()),
                 core: OrderedMutex::new(rank::CORE, "reactor.core", Some(Core::new())),
@@ -511,17 +500,22 @@ impl ReactorServer {
         }
     }
 
-    /// The underlying sharded service (shard locks are taken per call —
-    /// safe from any thread).
+    /// The underlying service (locked per call — safe from any thread).
     pub fn service(&self) -> &ShardedAuthService {
         &self.shared.service
     }
 
-    /// Session ids opened so far, in opening order. **Not** sorted:
-    /// shard-strided ids interleave, so opening order is the only
-    /// meaningful order.
+    /// Every first-authentication session id opened so far, in opening
+    /// order, across all epochs.
     pub fn session_ids(&self) -> Vec<SessionId> {
-        self.shared.ids.lock().clone()
+        self.shared.progress.lock().first_ids.clone()
+    }
+
+    /// The open epoch's session ids (first authentications and
+    /// re-challenge rounds alike) in opening order — the hub-geometry
+    /// order. Read it before the scan, which opens the next epoch.
+    pub fn epoch_session_ids(&self) -> Vec<SessionId> {
+        self.shared.progress.lock().epoch.ids.clone()
     }
 
     /// Verdicts delivered to their connections so far, in delivery
@@ -588,24 +582,22 @@ impl ReactorServer {
     /// A point-in-time [`ServiceStats`] snapshot across every connection
     /// served so far.
     pub fn stats(&self) -> ServiceStats {
-        self.shared
-            .counters
-            .snapshot(self.shared.service.sessions_decided() as u64)
+        self.shared.counters.snapshot()
     }
 
     // -- host-side waits ---------------------------------------------------
 
-    /// Blocks until each of `n` registered connections has either routed
-    /// its Step V report or been dropped, then returns how many actually
-    /// reported. Suspended feeds count as neither until they resume or
-    /// their window expires — the reactor's timer wheel owns that expiry,
-    /// so this wait is a plain condvar wait with no polling tick.
+    /// Blocks until `n` feeds of the open epoch have either routed their
+    /// Step V report or been dropped, then returns how many reported.
+    /// Suspended feeds count as neither until they resume or their
+    /// window expires — the reactor's timer wheel owns that expiry, so
+    /// this wait is a plain condvar wait with no polling tick.
     ///
     /// Unbounded — a test-only convenience. Production hosts should call
     /// [`wait_for_reports_timeout`](Self::wait_for_reports_timeout).
     pub fn wait_for_reports(&self, n: usize) -> usize {
         // With no deadline the wait cannot return Err.
-        self.wait_reports_deadline(n, None).unwrap_or_default()
+        self.wait_reports(n, None).unwrap_or_default()
     }
 
     /// [`wait_for_reports`](Self::wait_for_reports) bounded by `timeout`.
@@ -619,26 +611,22 @@ impl ReactorServer {
         n: usize,
         timeout: Duration,
     ) -> Result<usize, PianoError> {
-        self.wait_reports_deadline(n, Some(Instant::now() + timeout))
+        self.wait_reports(n, Some(Instant::now() + timeout))
     }
 
-    fn wait_reports_deadline(
-        &self,
-        n: usize,
-        deadline: Option<Instant>,
-    ) -> Result<usize, PianoError> {
+    fn wait_reports(&self, n: usize, deadline: Option<Instant>) -> Result<usize, PianoError> {
         let sh = &*self.shared;
         let mut progress = sh.progress.lock();
         loop {
-            if progress.reports + progress.dropped >= n {
-                return Ok(progress.reports);
+            let concluded = progress.epoch.reports + progress.epoch.drops;
+            if concluded >= n {
+                return Ok(progress.epoch.reports);
             }
             let now = Instant::now();
             match deadline {
                 Some(d) if now >= d => {
                     return Err(PianoError::Timeout(format!(
-                        "{} of {n} feeds concluded before the report deadline",
-                        progress.reports + progress.dropped
+                        "{concluded} of {n} feeds concluded before the report deadline"
                     )));
                 }
                 Some(d) => {
@@ -652,12 +640,11 @@ impl ReactorServer {
         }
     }
 
-    /// Posts the hub microphone's recording to the reactor, which
-    /// streams it through every service shard in `tick`-sample chunks,
-    /// concludes the scan groups, delivers pending verdicts, and
-    /// reports back. Returns the number of sessions that decided.
-    /// Blocks until the reactor has run the scan — call
-    /// [`start`](Self::start) first.
+    /// Posts the hub microphone's recording to the reactor, which scans
+    /// the open epoch in `tick`-sample chunks, writes every waiting
+    /// verdict, opens the next epoch, and reports back. Returns the
+    /// number of the epoch's sessions that decided. Blocks until the
+    /// reactor has run the scan — call [`start`](Self::start) first.
     pub fn scan_and_decide(&self, hub_audio: &[f64], tick: usize) -> usize {
         self.scan_and_decide_arc(hub_audio.into(), tick)
     }
@@ -667,20 +654,18 @@ impl ReactorServer {
     /// that scan the same hub recording across rounds (or hold it for
     /// their own bookkeeping) should prefer this.
     pub fn scan_and_decide_arc(&self, hub_audio: Arc<[f64]>, tick: usize) -> usize {
-        {
-            let mut inbox = self.shared.inbox.lock();
-            inbox.scan = Some(ScanRequest {
-                hub: hub_audio,
-                tick,
-            });
-        }
+        let epoch = self.shared.progress.lock().epoch.number;
+        self.shared.inbox.lock().scan = Some(ScanRequest {
+            hub: hub_audio,
+            tick,
+        });
         self.shared.ready.kick();
         let sh = &*self.shared;
         let mut progress = sh.progress.lock();
-        while !progress.scan_done {
+        while progress.scanned.number < epoch {
             progress = progress.wait(&sh.progress_cv);
         }
-        progress.decided
+        progress.scanned.decided
     }
 
     // -- continuous re-verification (host side) ----------------------------
@@ -715,17 +700,13 @@ impl ReactorServer {
 
     /// Opens the next re-challenge round on every standing connection
     /// and returns its number. The reactor writes each feed's
-    /// [`Message::Recheck`] (fresh per-round session, fresh signals,
-    /// original wire session) on its next loop iteration; follow with
-    /// [`wait_for_recheck_reports`](Self::wait_for_recheck_reports) and
-    /// [`recheck_scan_and_decide`](Self::recheck_scan_and_decide).
+    /// [`Message::Recheck`] (fresh per-round session in the open epoch,
+    /// fresh signals, original wire session) on its next loop iteration;
+    /// follow with the epoch's report wait and scan.
     pub fn begin_recheck_round(&self) -> u64 {
         let round = {
             let mut progress = self.shared.progress.lock();
             progress.recheck_round += 1;
-            progress.recheck_ready = 0;
-            progress.recheck_dropped = 0;
-            progress.recheck_ids.clear();
             progress.recheck_round
         };
         self.shared.inbox.lock().recheck = Some(round);
@@ -733,74 +714,36 @@ impl ReactorServer {
         round
     }
 
-    /// Blocks until `n` standing feeds have answered the current round
-    /// (or failed out of it), then returns how many actually routed
-    /// their per-round report.
+    /// [`wait_for_reports_timeout`](Self::wait_for_reports_timeout): a
+    /// round's reports are its epoch's.
     ///
     /// # Errors
     ///
-    /// [`PianoError::Timeout`] when fewer than `n` feeds conclude the
-    /// round within `timeout`.
+    /// As [`wait_for_reports_timeout`](Self::wait_for_reports_timeout).
     pub fn wait_for_recheck_reports(
         &self,
         n: usize,
         timeout: Duration,
     ) -> Result<usize, PianoError> {
-        let deadline = Instant::now() + timeout;
-        let sh = &*self.shared;
-        let mut progress = sh.progress.lock();
-        loop {
-            if progress.recheck_ready + progress.recheck_dropped >= n {
-                return Ok(progress.recheck_ready);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(PianoError::Timeout(format!(
-                    "{} of {n} feeds answered the re-check round before the deadline",
-                    progress.recheck_ready + progress.recheck_dropped
-                )));
-            }
-            let (guard, _) = progress.wait_timeout(&sh.progress_cv, deadline - now);
-            progress = guard;
-        }
+        self.wait_for_reports_timeout(n, timeout)
     }
 
-    /// The current round's per-round session ids in *opening* order —
-    /// exactly the order `hub_recording_sharded` needs. Call after
-    /// [`wait_for_recheck_reports`](Self::wait_for_recheck_reports) and
-    /// before the scan (which consumes the round's ids).
+    /// [`epoch_session_ids`](Self::epoch_session_ids): a round's sessions
+    /// are its epoch's.
     pub fn recheck_session_ids(&self) -> Vec<SessionId> {
-        self.shared.progress.lock().recheck_ids.clone()
+        self.epoch_session_ids()
     }
 
-    /// Posts the round's hub recording to the reactor, which scans it,
-    /// delivers every waiting feed's [`Message::RecheckVerdict`], closes
-    /// the round's per-round sessions, and reports back. Returns the
-    /// number of per-round sessions that decided. Blocks until the
-    /// reactor has served the round — call [`start`](Self::start) first.
+    /// [`scan_and_decide`](Self::scan_and_decide): a round is scanned as
+    /// its epoch.
     pub fn recheck_scan_and_decide(&self, hub_audio: &[f64], tick: usize) -> usize {
-        self.recheck_scan_and_decide_arc(hub_audio.into(), tick)
+        self.scan_and_decide(hub_audio, tick)
     }
 
-    /// [`recheck_scan_and_decide`](Self::recheck_scan_and_decide)
-    /// without the waveform copy — see
-    /// [`scan_and_decide_arc`](Self::scan_and_decide_arc).
+    /// [`scan_and_decide_arc`](Self::scan_and_decide_arc): a round is
+    /// scanned as its epoch.
     pub fn recheck_scan_and_decide_arc(&self, hub_audio: Arc<[f64]>, tick: usize) -> usize {
-        let round = self.shared.progress.lock().recheck_round;
-        {
-            let mut inbox = self.shared.inbox.lock();
-            inbox.recheck_scan = Some(ScanRequest {
-                hub: hub_audio,
-                tick,
-            });
-        }
-        self.shared.ready.kick();
-        let sh = &*self.shared;
-        let mut progress = sh.progress.lock();
-        while progress.recheck_scanned < round {
-            progress = progress.wait(&sh.progress_cv);
-        }
-        progress.recheck_decided
+        self.scan_and_decide_arc(hub_audio, tick)
     }
 
     /// Ends standing service: parked connections close on the reactor's
@@ -827,13 +770,12 @@ impl ReactorServer {
         loop {
             // Host mailbox first: admissions, scans, and the standing
             // commands.
-            let (injected, scan, recheck, recheck_scan, end_standing, shutdown) = {
+            let (injected, scan, recheck, end_standing, shutdown) = {
                 let mut inbox = self.shared.inbox.lock();
                 (
                     mem::take(&mut inbox.injected),
                     inbox.scan.take(),
                     inbox.recheck.take(),
-                    inbox.recheck_scan.take(),
                     mem::take(&mut inbox.end_standing),
                     inbox.shutdown,
                 )
@@ -845,13 +787,10 @@ impl ReactorServer {
                 self.admit(&mut core, t);
             }
             if let Some(req) = scan {
-                self.run_scan(&mut core, &req.hub, req.tick);
+                self.scan_epoch(&mut core, &req.hub, req.tick);
             }
             if let Some(round) = recheck {
                 self.start_recheck_round(&mut core, round);
-            }
-            if let Some(req) = recheck_scan {
-                self.run_recheck_scan(&mut core, &req.hub, req.tick);
             }
             if end_standing {
                 self.end_standing_sweep(&mut core);
@@ -1013,16 +952,32 @@ impl ReactorServer {
             Phase::Handshake => self.drive_handshake(core, token, conn),
             Phase::Streaming(state) => self.drive_streaming(core, token, conn, state, got_bytes),
             Phase::AwaitDecision { id, wire_session } => {
-                // Nothing to read here: a dead or chatty peer is only
-                // discovered at the Decision write. The decision timer
-                // bounds the wait.
+                // Bytes here are ignored; a close suspends the reported
+                // feed at once, so a redialing client's `Resume` is
+                // adopted without waiting for the scan. The decision
+                // timer bounds the wait.
+                if conn.eof {
+                    drop(conn);
+                    self.lose_reported(core, id, wire_session);
+                    return None;
+                }
                 conn.phase = Phase::AwaitDecision { id, wire_session };
                 Some(conn)
             }
             Phase::Standing { wire_session } => {
-                // Parked between rounds: nothing is read here — junk
-                // frames or a silently dead transport are discovered
-                // (and accounted) at the next round's re-challenge.
+                // Parked between rounds: junk frames are discovered (and
+                // accounted) at the next round's re-challenge; a close
+                // leaves the standing population now.
+                if conn.eof {
+                    drop(conn);
+                    self.drop_standing_conn(
+                        None,
+                        false,
+                        DropCause::Disconnect,
+                        &PianoError::Transport("standing connection closed".into()),
+                    );
+                    return None;
+                }
                 conn.phase = Phase::Standing { wire_session };
                 Some(conn)
             }
@@ -1032,7 +987,7 @@ impl ReactorServer {
                 wire_session,
                 round,
             } => {
-                // Nothing to read: the recheck scan delivers the verdict,
+                // Nothing to read: the epoch scan delivers the verdict,
                 // bounded by the decision timer.
                 conn.phase = Phase::AwaitRecheckVerdict {
                     id,
@@ -1078,7 +1033,6 @@ impl ReactorServer {
                 if conn.eof {
                     drop(conn);
                     self.drop_conn_state(
-                        core,
                         None,
                         DropCause::Disconnect,
                         &PianoError::Transport("connection closed during handshake".into()),
@@ -1090,7 +1044,7 @@ impl ReactorServer {
             }
             Err(e) => {
                 drop(conn);
-                self.drop_conn_state(core, None, DropCause::Framing, &e, false);
+                self.drop_conn_state(None, DropCause::Framing, &e, false);
                 return None;
             }
         };
@@ -1110,7 +1064,6 @@ impl ReactorServer {
             other => {
                 drop(conn);
                 self.drop_conn_state(
-                    core,
                     None,
                     DropCause::Protocol,
                     &PianoError::Wire(format!("expected Hello or Resume, got {other:?}")),
@@ -1149,50 +1102,16 @@ impl ReactorServer {
             return None; // shed is not a drop
         }
         let codec = WireCodec::negotiate(codecs, &sh.cfg.supported_codecs);
-        let opened = {
-            let mut rng = sh.rng.lock();
-            sh.service.with_default(|svc| {
-                let id = svc.open_session(false, &mut rng);
-                // A freshly opened session always queues its Step II
-                // challenge; treat a missing one as a protocol-layer
-                // failure rather than a server panic.
-                match svc.poll_transmit(id) {
-                    Some(challenge) => Some((id, challenge, Arc::clone(svc.detector()))),
-                    None => {
-                        let _ = svc.close_session(id);
-                        None
-                    }
-                }
-            })
-        };
-        let (id, challenge, detector) = match opened.flatten() {
-            Some(v) => v,
-            None => {
+        let (id, challenge, voucher) = match self.open_epoch_session(true) {
+            Ok(opened) => opened,
+            Err(e) => {
                 drop(conn);
-                self.drop_conn_state(
-                    core,
-                    None,
-                    DropCause::Protocol,
-                    &PianoError::Wire("opened session queued no challenge".into()),
-                    false,
-                );
+                self.drop_conn_state(None, DropCause::Protocol, &e, false);
                 return None;
             }
         };
-        sh.ids.lock().push(id);
-        {
-            let mut progress = sh.progress.lock();
-            progress.active += 1;
-        }
         // From here on, every pre-report exit must decrement `active`
         // exactly once.
-        let mut voucher = AuthSession::voucher_with(detector);
-        if let Err(e) = voucher.handle_message(challenge.clone()) {
-            drop(conn);
-            self.dec_active();
-            self.drop_conn_state(core, Some(id), DropCause::Protocol, &e, false);
-            return None;
-        }
         let wire_session = voucher.session_id();
         let accept = Message::Accept {
             session: wire_session,
@@ -1207,13 +1126,7 @@ impl ReactorServer {
         if let Err(e) = wrote {
             drop(conn);
             self.dec_active();
-            self.drop_conn_state(
-                core,
-                Some(id),
-                DropCause::Disconnect,
-                &io_transport(e),
-                false,
-            );
+            self.drop_conn_state(Some(id), DropCause::Disconnect, &io_transport(e), false);
             return None;
         }
         let state = Box::new(FeedState {
@@ -1267,7 +1180,7 @@ impl ReactorServer {
                 Ok(None) => break,
                 Err(e) => {
                     drop(conn);
-                    self.drop_feed(core, state, DropCause::Framing, &e);
+                    self.drop_feed(state, DropCause::Framing, &e);
                     return None;
                 }
             };
@@ -1288,7 +1201,7 @@ impl ReactorServer {
                             DropCause::Protocol
                         };
                         drop(conn);
-                        self.drop_feed(core, state, cause, &e);
+                        self.drop_feed(state, cause, &e);
                         return None;
                     }
                     sh.counters.frames_decoded.fetch_add(1, Ordering::Relaxed);
@@ -1305,7 +1218,6 @@ impl ReactorServer {
                 other => {
                     drop(conn);
                     self.drop_feed(
-                        core,
                         state,
                         DropCause::Protocol,
                         &PianoError::Wire(format!("unexpected mid-stream message {other:?}")),
@@ -1362,7 +1274,8 @@ impl ReactorServer {
 
     /// The stream is complete: conclude the voucher scan, route its
     /// Step V report into the service, and either deliver the verdict
-    /// (scan already done) or wait for it under the decision deadline.
+    /// (its epoch already scanned) or wait for it under the decision
+    /// deadline.
     fn conclude_report(
         &self,
         core: &mut Core,
@@ -1379,7 +1292,6 @@ impl ReactorServer {
             None => {
                 drop(conn);
                 self.drop_feed(
-                    core,
                     state,
                     DropCause::Protocol,
                     &PianoError::Wire("voucher produced no report".into()),
@@ -1389,29 +1301,55 @@ impl ReactorServer {
         };
         if let Err(e) = sh.service.handle_message(state.id, report) {
             drop(conn);
-            self.drop_feed(core, state, DropCause::Protocol, &e);
+            self.drop_feed(state, DropCause::Protocol, &e);
             return None;
         }
-        {
-            let mut progress = sh.progress.lock();
-            progress.reports += 1;
-            progress.active = progress.active.saturating_sub(1);
-            sh.progress_cv.notify_all();
-        }
-        let id = state.id;
-        let wire_session = state.wire_session;
+        self.dec_active();
+        let (id, wire_session) = (state.id, state.wire_session);
         drop(state);
-        if core.scan_done {
-            self.deliver(core, conn, id, wire_session)
-        } else {
-            conn.phase = Phase::AwaitDecision { id, wire_session };
-            conn.next_deadline = Instant::now() + sh.cfg.decision_timeout;
-            self.rearm(core, token, &mut conn);
-            Some(conn)
+        if !self.count_report(id) {
+            return self.deliver(core, conn, id, wire_session, None);
         }
+        if conn.eof {
+            // The close arrived with the stream's end: no later turn
+            // would see it.
+            drop(conn);
+            self.lose_reported(core, id, wire_session);
+            return None;
+        }
+        conn.phase = Phase::AwaitDecision { id, wire_session };
+        conn.next_deadline = Instant::now() + sh.cfg.decision_timeout;
+        self.rearm(core, token, &mut conn);
+        Some(conn)
     }
 
-    /// Writes the session's verdict. With a resume window configured the
+    /// Counts a routed report toward the open epoch's wait. `false` when
+    /// the session's epoch was already scanned: its verdict is ready.
+    fn count_report(&self, id: SessionId) -> bool {
+        let mut progress = self.shared.progress.lock();
+        let open = progress.epoch.ids.contains(&id);
+        if open {
+            progress.epoch.reports += 1;
+            self.shared.progress_cv.notify_all();
+        }
+        open
+    }
+
+    /// The session's verdict, closing the session: a session lives until
+    /// its verdict is written.
+    fn take_verdict(&self, id: SessionId) -> AuthDecision {
+        let closed = self.shared.service.close_session(id);
+        closed
+            .and_then(|session| session.decision().cloned())
+            .unwrap_or(AuthDecision::Denied {
+                reason: DenialReason::ProtocolFailure(
+                    "session undecided after its epoch scan".into(),
+                ),
+            })
+    }
+
+    /// Writes the session's verdict — `verdict`, or the epoch scan's
+    /// (which closes the session). With a resume window configured the
     /// verdict parks in the registry *before* the write, so a client
     /// that loses the connection with the `Decision` frame in flight can
     /// reconnect and have it re-sent. Consumes the connection — unless
@@ -1424,13 +1362,13 @@ impl ReactorServer {
         mut conn: Conn,
         id: SessionId,
         wire_session: u64,
+        verdict: Option<AuthDecision>,
     ) -> Option<Conn> {
         let sh = &*self.shared;
-        let decision = sh.service.decision(id).unwrap_or(AuthDecision::Denied {
-            reason: DenialReason::ProtocolFailure("session undecided after the hub scan".into()),
-        });
+        let decision = verdict.unwrap_or_else(|| self.take_verdict(id));
         if !sh.cfg.resume_window.is_zero() {
-            self.park(core, wire_session, Parked::Decided { id });
+            let verdict = Some(decision.clone());
+            self.park(core, wire_session, Parked::Decided { id, verdict });
         }
         let frame = Message::Decision {
             session: wire_session,
@@ -1460,18 +1398,55 @@ impl ReactorServer {
             }
             Err(e) => {
                 // Post-report failures are waived: this feed already
-                // counted in Progress::reports, so adding it to
-                // Progress::dropped would make the wait see it twice.
-                self.drop_conn_state(
-                    core,
-                    Some(id),
-                    DropCause::Disconnect,
-                    &io_transport(e),
-                    true,
-                );
+                // counted in its epoch's reports, so adding it to the
+                // drops would make the wait see it twice.
+                self.drop_conn_state(Some(id), DropCause::Disconnect, &io_transport(e), true);
             }
         }
         None
+    }
+
+    /// Opens a service session in the open epoch, takes its Step II
+    /// challenge, and builds the gateway voucher that answers it. A
+    /// first authentication (`first`) also joins
+    /// [`session_ids`](Self::session_ids) and the active population. On
+    /// failure no session is left open.
+    fn open_epoch_session(
+        &self,
+        first: bool,
+    ) -> Result<(SessionId, Message, AuthSession), PianoError> {
+        let sh = &*self.shared;
+        let opened = {
+            let mut rng = sh.rng.lock();
+            sh.service.with_default(|svc| {
+                let id = svc.open_session(false, &mut rng);
+                // A freshly opened session always queues its Step II
+                // challenge; treat a missing one as a protocol-layer
+                // failure rather than a server panic.
+                match svc.poll_transmit(id) {
+                    Some(challenge) => Some((id, challenge, Arc::clone(svc.detector()))),
+                    None => {
+                        let _ = svc.close_session(id);
+                        None
+                    }
+                }
+            })
+        };
+        let (id, challenge, detector) = opened
+            .flatten()
+            .ok_or_else(|| PianoError::Wire("opened session queued no challenge".into()))?;
+        let mut voucher = AuthSession::voucher_with(detector);
+        if let Err(e) = voucher.handle_message(challenge.clone()) {
+            let _ = sh.service.close_session(id);
+            return Err(e);
+        }
+        let mut progress = sh.progress.lock();
+        progress.epoch.ids.push(id);
+        if first {
+            progress.first_ids.push(id);
+            progress.active += 1;
+        }
+        Ok((id, challenge, voucher))
     }
 
     // -- continuous re-verification ----------------------------------------
@@ -1520,39 +1495,14 @@ impl ReactorServer {
                 return Some(conn);
             }
         };
-        let opened = {
-            let mut rng = sh.rng.lock();
-            sh.service.with_default(|svc| {
-                let id = svc.open_session(false, &mut rng);
-                match svc.poll_transmit(id) {
-                    Some(challenge) => Some((id, challenge, Arc::clone(svc.detector()))),
-                    None => {
-                        let _ = svc.close_session(id);
-                        None
-                    }
-                }
-            })
-        };
-        let (id, challenge, detector) = match opened.flatten() {
-            Some(v) => v,
-            None => {
+        let (id, challenge, voucher) = match self.open_epoch_session(false) {
+            Ok(opened) => opened,
+            Err(e) => {
                 drop(conn);
-                self.drop_standing_conn(
-                    None,
-                    true,
-                    DropCause::Protocol,
-                    &PianoError::Wire("re-check session queued no challenge".into()),
-                );
+                self.drop_standing_conn(None, true, DropCause::Protocol, &e);
                 return None;
             }
         };
-        sh.progress.lock().recheck_ids.push(id);
-        let mut voucher = AuthSession::voucher_with(detector);
-        if let Err(e) = voucher.handle_message(challenge.clone()) {
-            drop(conn);
-            self.drop_standing_conn(Some(id), true, DropCause::Protocol, &e);
-            return None;
-        }
         let (sa, sv) = match challenge {
             Message::ReferenceSignals { sa, sv, .. } => (sa, sv),
             other => {
@@ -1682,7 +1632,7 @@ impl ReactorServer {
 
     /// The round's answer is complete: conclude the per-round voucher,
     /// route its report into the service, count toward the host's round
-    /// wait, and park until the recheck scan delivers the verdict.
+    /// wait, and park until the epoch scan delivers the verdict.
     fn conclude_recheck(
         &self,
         core: &mut Core,
@@ -1710,36 +1660,30 @@ impl ReactorServer {
             self.drop_standing_conn(Some(state.id), true, DropCause::Protocol, &e);
             return None;
         }
-        {
-            let mut progress = sh.progress.lock();
-            progress.recheck_ready += 1;
-            sh.progress_cv.notify_all();
-        }
         let RecheckState {
             id,
             wire_session,
             round,
             ..
         } = *state;
-        if core.recheck_scanned >= round {
-            // The host scanned this round already (it waited on fewer
-            // reports than there are standing feeds).
-            self.deliver_recheck_verdict(core, conn, id, wire_session, round)
-        } else {
-            conn.phase = Phase::AwaitRecheckVerdict {
-                id,
-                wire_session,
-                round,
-            };
-            conn.next_deadline = Instant::now() + sh.cfg.decision_timeout;
-            self.rearm(core, token, &mut conn);
-            Some(conn)
+        if !self.count_report(id) {
+            // The host scanned this round's epoch already (it waited on
+            // fewer reports than there are standing feeds).
+            return self.deliver_recheck_verdict(core, conn, id, wire_session, round);
         }
+        conn.phase = Phase::AwaitRecheckVerdict {
+            id,
+            wire_session,
+            round,
+        };
+        conn.next_deadline = Instant::now() + sh.cfg.decision_timeout;
+        self.rearm(core, token, &mut conn);
+        Some(conn)
     }
 
-    /// Writes one round's verdict back over the standing connection,
-    /// then re-parks it — or closes it when standing service has ended.
-    /// The per-round session is closed by the recheck scan, not here.
+    /// Writes one round's verdict back over the standing connection
+    /// (closing the round's session), then re-parks it — or closes it
+    /// when standing service has ended.
     fn deliver_recheck_verdict(
         &self,
         core: &mut Core,
@@ -1748,16 +1692,10 @@ impl ReactorServer {
         wire_session: u64,
         round: u64,
     ) -> Option<Conn> {
-        let sh = &*self.shared;
-        let decision = sh.service.decision(id).unwrap_or(AuthDecision::Denied {
-            reason: DenialReason::ProtocolFailure(
-                "re-check session undecided after the recheck scan".into(),
-            ),
-        });
         let frame = Message::RecheckVerdict {
             session: wire_session,
             round: round as u32,
-            decision,
+            decision: self.take_verdict(id),
         }
         .encode_framed();
         if let Err(e) = conn.t.write_all(&frame) {
@@ -1769,75 +1707,11 @@ impl ReactorServer {
         }
         if core.standing_over {
             drop(conn);
-            let mut progress = sh.progress.lock();
-            progress.standing = progress.standing.saturating_sub(1);
-            sh.progress_cv.notify_all();
+            self.leave_standing(1);
             return None;
         }
         conn.phase = Phase::Standing { wire_session };
         Some(conn)
-    }
-
-    /// Streams the round's hub recording through every shard, snapshots
-    /// the round's per-round sessions, delivers `RecheckVerdict`s to
-    /// every waiting standing connection in token order, closes the
-    /// round's sessions, and publishes the round's conclusion.
-    fn run_recheck_scan(&self, core: &mut Core, hub: &[f64], tick: usize) {
-        let sh = &*self.shared;
-        for chunk in hub.chunks(tick.max(1)) {
-            let _ = sh.service.push_audio(chunk);
-        }
-        let _ = sh.service.finish_audio();
-        let (round, ids) = {
-            let mut progress = sh.progress.lock();
-            (progress.recheck_round, mem::take(&mut progress.recheck_ids))
-        };
-        let decided = ids
-            .iter()
-            .filter(|&&id| sh.service.decision(id).is_some())
-            .count();
-        core.recheck_scanned = round;
-        let waiting: Vec<usize> = core
-            .conns
-            .iter()
-            .enumerate()
-            .filter_map(|(i, slot)| match slot {
-                Some(c) if matches!(c.phase, Phase::AwaitRecheckVerdict { .. }) => Some(i),
-                _ => None,
-            })
-            .collect();
-        for token in waiting {
-            let mut conn = match core.conns.get_mut(token).and_then(Option::take) {
-                Some(c) => c,
-                None => continue,
-            };
-            let out = match mem::replace(&mut conn.phase, Phase::Handshake) {
-                Phase::AwaitRecheckVerdict {
-                    id,
-                    wire_session,
-                    round,
-                } => self.deliver_recheck_verdict(core, conn, id, wire_session, round),
-                other => {
-                    conn.phase = other;
-                    Some(conn)
-                }
-            };
-            self.finish_turn(core, token, out);
-        }
-        // Per-round sessions close only after the verdict deliveries
-        // above read their decisions — both happen on this thread, so
-        // there is no fetch/close race.
-        for id in ids {
-            let _ = sh.service.close_session(id);
-        }
-        // Publish *after* the deliveries: a host returning from
-        // `recheck_scan_and_decide` must observe the round fully served.
-        {
-            let mut progress = sh.progress.lock();
-            progress.recheck_scanned = round;
-            progress.recheck_decided = decided;
-            sh.progress_cv.notify_all();
-        }
     }
 
     /// Ends standing service: every parked connection closes now;
@@ -1860,48 +1734,31 @@ impl ReactorServer {
                 self.finish_turn(core, token, None);
             }
         }
-        if ended > 0 {
+        self.leave_standing(ended);
+    }
+
+    /// `n` standing connections left.
+    fn leave_standing(&self, n: usize) {
+        if n > 0 {
             let mut progress = self.shared.progress.lock();
-            progress.standing = progress.standing.saturating_sub(ended);
+            progress.standing = progress.standing.saturating_sub(n);
             self.shared.progress_cv.notify_all();
         }
     }
 
     /// A standing connection left (fault or round failure): standing
-    /// population, round accounting, and drop counters in one step.
-    /// `mid_round` failures count toward the round's wait (the feed's
-    /// report will never arrive) and withdraw the in-flight per-round
-    /// session — but only while the recheck scan has not yet snapshotted
-    /// the round's ids, which the `recheck_ids` membership check decides
-    /// atomically. Post-ready failures only shrink the population.
+    /// population and drop accounting in one step. `mid_round` failures
+    /// count toward the round's wait (the feed's report will never
+    /// arrive); every failure closes the round's session `id`, if any.
     fn drop_standing_conn(
         &self,
-        round_id: Option<SessionId>,
+        id: Option<SessionId>,
         mid_round: bool,
         cause: DropCause,
         err: &PianoError,
     ) {
-        let close = {
-            let mut progress = self.shared.progress.lock();
-            progress.standing = progress.standing.saturating_sub(1);
-            let mut close = None;
-            if mid_round {
-                progress.recheck_dropped += 1;
-                if let Some(id) = round_id {
-                    if let Some(pos) = progress.recheck_ids.iter().position(|&x| x == id) {
-                        progress.recheck_ids.swap_remove(pos);
-                        close = Some(id);
-                    }
-                }
-            }
-            self.shared.progress_cv.notify_all();
-            close
-        };
-        if let Some(id) = close {
-            let _ = self.shared.service.close_session(id);
-        }
-        self.shared.counters.count_drop(cause);
-        eprintln!("dropping standing connection: {err} [{cause}]");
+        self.leave_standing(1);
+        self.drop_conn_state(id, cause, err, !mid_round);
     }
 
     // -- suspension and resume ---------------------------------------------
@@ -1919,52 +1776,59 @@ impl ReactorServer {
         );
     }
 
-    /// The transport died mid-stream: suspend the feed (adopting a
-    /// waiting `Resume` probe directly if one is parked) — or drop it
+    /// The transport died mid-stream: suspend the feed — or drop it
     /// when no resume window is configured. Always returns `None`.
     fn lose_feed(&self, core: &mut Core, state: Box<FeedState>, err: PianoError) -> Option<Conn> {
-        let sh = &*self.shared;
         self.dec_active();
-        if sh.cfg.resume_window.is_zero() {
-            self.drop_conn_state(core, Some(state.id), DropCause::Disconnect, &err, false);
+        if self.shared.cfg.resume_window.is_zero() {
+            self.drop_conn_state(Some(state.id), DropCause::Disconnect, &err, false);
             return None;
         }
-        sh.counters
-            .connections_suspended
-            .fetch_add(1, Ordering::Relaxed);
         let wire_session = state.wire_session;
-        // A reconnect can beat the loss discovery: adopt the parked
-        // probe in the same loop turn, with no registry round-trip.
-        if let Some(probe_token) = find_pending_resume(core, wire_session) {
-            if let Some(mut probe) = core.conns.get_mut(probe_token).and_then(Option::take) {
-                sh.counters.resumes.fetch_add(1, Ordering::Relaxed);
-                let client_next_seq = match mem::replace(&mut probe.phase, Phase::Handshake) {
-                    Phase::PendingResume {
-                        client_next_seq, ..
-                    } => client_next_seq,
-                    other => {
-                        probe.phase = other;
-                        0
-                    }
-                };
-                let out = self.attach(
-                    core,
-                    probe_token,
-                    probe,
-                    wire_session,
-                    client_next_seq,
-                    Parked::Streaming(state),
-                );
-                self.finish_turn(core, probe_token, out);
-                return None;
-            }
-        }
-        self.park(core, wire_session, Parked::Streaming(state));
+        self.suspend(core, wire_session, Parked::Streaming(state));
         None
     }
 
+    /// The transport of a reported feed died before its verdict: suspend
+    /// the feed so a resume is answered with the verdict — or drop it
+    /// (waived: the feed already reported) without a resume window.
+    fn lose_reported(&self, core: &mut Core, id: SessionId, wire_session: u64) {
+        if self.shared.cfg.resume_window.is_zero() {
+            let err = PianoError::Transport("connection closed awaiting its verdict".into());
+            self.drop_conn_state(Some(id), DropCause::Disconnect, &err, true);
+            return;
+        }
+        let verdict = None;
+        self.suspend(core, wire_session, Parked::Decided { id, verdict });
+    }
+
+    /// Suspends a wire session: hands `state` straight to a parked
+    /// `Resume` probe (a reconnect can beat the loss discovery), else
+    /// parks it in the registry.
+    fn suspend(&self, core: &mut Core, wire_session: u64, state: Parked) {
+        let sh = &*self.shared;
+        sh.counters
+            .connections_suspended
+            .fetch_add(1, Ordering::Relaxed);
+        let probe = find_pending_resume(core, wire_session)
+            .and_then(|token| Some((token, core.conns.get_mut(token)?.take()?)));
+        let Some((token, probe)) = probe else {
+            self.park(core, wire_session, state);
+            return;
+        };
+        sh.counters.resumes.fetch_add(1, Ordering::Relaxed);
+        let client_next_seq = match probe.phase {
+            Phase::PendingResume {
+                client_next_seq, ..
+            } => client_next_seq,
+            _ => 0,
+        };
+        let out = self.attach(core, token, probe, wire_session, client_next_seq, state);
+        self.finish_turn(core, token, out);
+    }
+
     /// Re-attaches a reconnecting client to its suspended feed (or
-    /// re-delivers a parked verdict), answering with `ResumeAck`.
+    /// answers it with its verdict), writing `ResumeAck` first.
     fn attach(
         &self,
         core: &mut Core,
@@ -2004,7 +1868,7 @@ impl ReactorServer {
                 core.runnable.insert(token);
                 Some(conn)
             }
-            Parked::Decided { id } => {
+            Parked::Decided { id, verdict } => {
                 let ack = Message::ResumeAck {
                     session: wire_session,
                     ack_seq: client_next_seq,
@@ -2013,20 +1877,24 @@ impl ReactorServer {
                 if let Err(e) = conn.t.write_all(&ack.encode_framed()) {
                     drop(conn);
                     // Park the verdict again for the next attempt.
-                    self.park(core, wire_session, Parked::Decided { id });
-                    self.drop_conn_state(core, None, DropCause::Disconnect, &io_transport(e), true);
+                    self.park(core, wire_session, Parked::Decided { id, verdict });
+                    self.drop_conn_state(None, DropCause::Disconnect, &io_transport(e), true);
                     return None;
                 }
-                if core.scan_done {
-                    self.deliver(core, conn, id, wire_session)
-                } else {
-                    conn.phase = Phase::AwaitDecision { id, wire_session };
-                    conn.next_deadline = Instant::now() + sh.cfg.decision_timeout;
-                    self.rearm(core, token, &mut conn);
-                    Some(conn)
+                if verdict.is_some() || !self.in_open_epoch(id) {
+                    return self.deliver(core, conn, id, wire_session, verdict);
                 }
+                conn.phase = Phase::AwaitDecision { id, wire_session };
+                conn.next_deadline = Instant::now() + sh.cfg.decision_timeout;
+                self.rearm(core, token, &mut conn);
+                Some(conn)
             }
         }
+    }
+
+    /// Whether `id` belongs to the open (not yet scanned) epoch.
+    fn in_open_epoch(&self, id: SessionId) -> bool {
+        self.shared.progress.lock().epoch.ids.contains(&id)
     }
 
     // -- timers ------------------------------------------------------------
@@ -2071,16 +1939,18 @@ impl ReactorServer {
                         // Expired mid-stream feeds drop (counted toward
                         // the report wait); expired verdict entries are
                         // forgotten silently — their feed already
-                        // reported and decided.
+                        // reported — and close their session if the
+                        // verdict was never written.
                         self.drop_conn_state(
-                            core,
                             Some(state.id),
                             DropCause::ResumeExpired,
                             &PianoError::Timeout("resume window expired".into()),
                             false,
                         );
                     }
-                    Parked::Decided { .. } => {}
+                    Parked::Decided { id, .. } => {
+                        let _ = self.shared.service.close_session(id);
+                    }
                 }
             }
         }
@@ -2095,7 +1965,6 @@ impl ReactorServer {
             Phase::Handshake => {
                 drop(conn);
                 self.drop_conn_state(
-                    core,
                     None,
                     DropCause::Timeout,
                     &PianoError::Timeout("handshake deadline missed".into()),
@@ -2122,13 +1991,12 @@ impl ReactorServer {
                     ))
                 };
                 drop(conn);
-                self.drop_feed(core, state, DropCause::Timeout, &err);
+                self.drop_feed(state, DropCause::Timeout, &err);
             }
             Phase::AwaitDecision { id, .. } => {
                 drop(conn);
-                // Waived: the feed already counted in Progress::reports.
+                // Waived: the feed already counted in its epoch's reports.
                 self.drop_conn_state(
-                    core,
                     Some(id),
                     DropCause::Timeout,
                     &PianoError::Timeout(
@@ -2153,17 +2021,15 @@ impl ReactorServer {
                     &PianoError::Timeout("re-check answer deadline missed".into()),
                 );
             }
-            Phase::AwaitRecheckVerdict { .. } => {
+            Phase::AwaitRecheckVerdict { id, .. } => {
                 drop(conn);
-                // Post-ready: the round counted this feed; its per-round
-                // session is closed by the scan that never came (or the
-                // shutdown teardown).
+                // Post-ready: the round counted this feed.
                 self.drop_standing_conn(
-                    None,
+                    Some(id),
                     false,
                     DropCause::Timeout,
                     &PianoError::Timeout(
-                        "recheck scan did not conclude within the decision deadline".into(),
+                        "epoch scan did not conclude within the decision deadline".into(),
                     ),
                 );
             }
@@ -2173,7 +2039,6 @@ impl ReactorServer {
                 // elsewhere (still live, already dropped, or never
                 // existed): never double-count it in the wait.
                 self.drop_conn_state(
-                    core,
                     None,
                     DropCause::Protocol,
                     &PianoError::Wire(format!(
@@ -2185,39 +2050,51 @@ impl ReactorServer {
         }
     }
 
-    // -- scan --------------------------------------------------------------
+    // -- scan ------------------------------------------------------------
 
-    /// Streams the hub recording through every service shard in
-    /// `tick`-sample chunks, concludes the scan groups, publishes
-    /// `scan_done`, and delivers verdicts to every waiting connection in
-    /// token order.
-    fn run_scan(&self, core: &mut Core, hub: &[f64], tick: usize) {
+    /// Scans the open epoch: streams the hub recording through the
+    /// service in `tick`-sample chunks, concludes the scan groups, writes
+    /// the verdict of every waiting connection in token order (a
+    /// connection waits only on the open epoch: one whose epoch was
+    /// scanned is answered at once), then opens the next epoch and
+    /// publishes the scanned one.
+    fn scan_epoch(&self, core: &mut Core, hub: &[f64], tick: usize) {
         let sh = &*self.shared;
-        core.scan_started = true;
         for chunk in hub.chunks(tick.max(1)) {
             let _ = sh.service.push_audio(chunk);
         }
         let _ = sh.service.finish_audio();
-        let decided = sh.service.sessions_decided();
-        core.scan_done = true;
+        let ids = sh.progress.lock().epoch.ids.clone();
+        let decided = ids
+            .iter()
+            .filter(|&&id| sh.service.decision(id).is_some())
+            .count();
         let waiting: Vec<usize> = core
             .conns
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| match slot {
-                Some(c) if matches!(c.phase, Phase::AwaitDecision { .. }) => Some(i),
-                _ => None,
+                Some(c) => matches!(
+                    c.phase,
+                    Phase::AwaitDecision { .. } | Phase::AwaitRecheckVerdict { .. }
+                )
+                .then_some(i),
+                None => None,
             })
             .collect();
         for token in waiting {
-            let mut conn = match core.conns.get_mut(token).and_then(Option::take) {
-                Some(c) => c,
-                None => continue,
+            let Some(mut conn) = core.conns.get_mut(token).and_then(Option::take) else {
+                continue;
             };
             let out = match mem::replace(&mut conn.phase, Phase::Handshake) {
                 Phase::AwaitDecision { id, wire_session } => {
-                    self.deliver(core, conn, id, wire_session)
+                    self.deliver(core, conn, id, wire_session, None)
                 }
+                Phase::AwaitRecheckVerdict {
+                    id,
+                    wire_session,
+                    round,
+                } => self.deliver_recheck_verdict(core, conn, id, wire_session, round),
                 other => {
                     conn.phase = other;
                     Some(conn)
@@ -2225,15 +2102,21 @@ impl ReactorServer {
             };
             self.finish_turn(core, token, out);
         }
-        // Publish *after* the verdict deliveries above: a host returning
-        // from `scan_and_decide` must observe every outcome the scan
-        // produced.
-        {
-            let mut progress = sh.progress.lock();
-            progress.scan_done = true;
-            progress.decided = decided;
-            sh.progress_cv.notify_all();
-        }
+        sh.counters
+            .sessions_decided
+            .fetch_add(decided as u64, Ordering::Relaxed);
+        // Publish *after* the verdict writes above: a host returning from
+        // `scan_and_decide` must observe every outcome the scan produced.
+        let mut progress = sh.progress.lock();
+        let next = Epoch {
+            number: progress.epoch.number + 1,
+            ..Epoch::default()
+        };
+        progress.scanned = Epoch {
+            decided,
+            ..mem::replace(&mut progress.epoch, next)
+        };
+        sh.progress_cv.notify_all();
     }
 
     // -- drop accounting ---------------------------------------------------
@@ -2246,24 +2129,17 @@ impl ReactorServer {
 
     /// Drops an *attached* feed: active-population and drop accounting
     /// in one step.
-    fn drop_feed(
-        &self,
-        core: &mut Core,
-        state: Box<FeedState>,
-        cause: DropCause,
-        err: &PianoError,
-    ) {
+    fn drop_feed(&self, state: Box<FeedState>, cause: DropCause, err: &PianoError) {
         self.dec_active();
-        self.drop_conn_state(core, Some(state.id), cause, err, false);
+        self.drop_conn_state(Some(state.id), cause, err, false);
     }
 
     /// The drop-only-this-connection path: count the cause, log it,
-    /// close the service session (unless the scan already fixed the
-    /// group's signature set), and — unless waived — count it where
+    /// close the service session, and — unless waived, or the session's
+    /// epoch was already scanned — count it where
     /// [`wait_for_reports`](Self::wait_for_reports) can see it.
     fn drop_conn_state(
         &self,
-        core: &mut Core,
         id: Option<SessionId>,
         cause: DropCause,
         err: &PianoError,
@@ -2280,14 +2156,14 @@ impl ReactorServer {
             cause,
         );
         if let Some(id) = id {
-            if !core.scan_started {
-                let _ = self.shared.service.close_session(id);
-            }
+            let _ = self.shared.service.close_session(id);
         }
         if !waived {
             let mut progress = self.shared.progress.lock();
-            progress.dropped += 1;
-            self.shared.progress_cv.notify_all();
+            if id.is_none_or(|id| progress.epoch.ids.contains(&id)) {
+                progress.epoch.drops += 1;
+                self.shared.progress_cv.notify_all();
+            }
         }
     }
 

@@ -7,7 +7,6 @@
 //! PIANO_FLEET_FEEDS=500 cargo run --release --example fleet_ingest
 //! PIANO_WIRE_CODEC=off  cargo run --release --example fleet_ingest
 //! PIANO_NET_TCP=1       cargo run --release --example fleet_ingest   # loopback sockets
-//! PIANO_NET_SHARDS=1    cargo run --release --example fleet_ingest   # one service shard
 //! PIANO_NET_FAULT_SEED=0xFA17 cargo run --release --example fleet_ingest  # chaos mode
 //! cargo run --release --example fleet_ingest -- --faults             # chaos, default seed
 //! PIANO_NET_RECHALLENGE=1 \
@@ -23,10 +22,10 @@
 //! and resuming on `Credit`. The gateway ([`ReactorServer`]) drives
 //! every connection's state machine — `FrameReader` → `IngestFeed` →
 //! voucher session — from ONE event-loop thread and routes every Step V
-//! report into a `ShardedAuthService` (`PIANO_NET_SHARDS` shards,
-//! default 4). The gateway's own microphone carries every session's
-//! reference signals; ONE scan pass over it serves all sessions, after
-//! which the reactor delivers each verdict back over its connection.
+//! report into one `AuthService`. The gateway's own microphone carries
+//! every session's reference signals; ONE scan pass over it serves all
+//! sessions of the epoch, after which the reactor delivers each verdict
+//! back over its connection.
 //!
 //! Transport: a deterministic in-memory duplex by default; set
 //! `PIANO_NET_TCP=1` to run the same stack over loopback TCP sockets,
@@ -40,13 +39,14 @@
 //! run behind [`ResilientFeed`], so cut links redial with jittered
 //! backoff and resume their wire session into the gateway's 10 s resume
 //! window; the run asserts the fleet still reaches 100% granted verdicts
-//! and prints the per-cause drop and resilience counters.
+//! with no `protocol` drop (a redial after a lost verdict is adopted at
+//! once) and prints the per-cause drop and resilience counters.
 //!
 //! **Re-challenge mode** (`PIANO_NET_RECHALLENGE=1`): granted feeds
 //! stay connected after their verdict and the gateway re-verifies the
 //! whole standing fleet over those live connections — two wire
 //! re-challenge rounds (`Recheck` → `RecheckAudio` → `RecheckVerdict`),
-//! each with fresh signals and a fresh hub scan, before `end_standing`
+//! each an epoch with fresh signals and a fresh hub scan, before `end_standing`
 //! closes the fleet. Composes with chaos mode (cut feeds answer their
 //! rounds on the resumed link).
 
@@ -58,7 +58,7 @@ use rand_chacha::ChaCha8Rng;
 
 use piano::core::wire::WireCodec;
 use piano::net::fixtures::{
-    feed_recording, hub_recording_reactor, hub_recording_sharded, recheck_recording, FEED_REC_LEN,
+    feed_recording, hub_recording_reactor, recheck_recording, FEED_REC_LEN,
 };
 use piano::net::transport::{memory_hub, tcp_loopback, Listener, MemoryStream, Transport};
 use piano::net::{
@@ -83,10 +83,6 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(200);
-    let shards: usize = std::env::var("PIANO_NET_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
     let codec = WireCodec::from_env();
     let rechallenge = std::env::var("PIANO_NET_RECHALLENGE")
         .map(|v| v == "1")
@@ -105,7 +101,7 @@ fn main() {
         .or_else(|| std::env::args().any(|a| a == "--faults").then_some(0xFA17));
 
     let server = ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), shards),
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(0xF1EE7),
         ServerConfig {
             // Cut links resume into a window; clean runs have none, so a
@@ -122,10 +118,9 @@ fn main() {
     let action = server
         .service()
         .with_default(|s| s.config().action.clone())
-        .expect("shard 0 exists");
+        .expect("the service exists");
     println!(
-        "fleet gateway{}: {feeds} feeds, codec {codec:?}, {shards} service shard(s), \
-         one reactor thread",
+        "fleet gateway{}: {feeds} feeds, codec {codec:?}, one reactor thread",
         if fault_seed.is_some() { " (CHAOS)" } else { "" },
     );
     let reactor = server.start();
@@ -159,7 +154,7 @@ fn main() {
         }
     };
     println!(
-        "opened {feeds} sessions ({} signatures, one coarse pass per tick per shard)",
+        "opened {feeds} sessions ({} signatures, one coarse pass per tick)",
         feeds * 2
     );
 
@@ -228,6 +223,11 @@ fn main() {
             stats.drops.total(),
             stats.connections_dropped,
             "per-cause drops account for every drop"
+        );
+        assert_eq!(
+            stats.drops.get(DropCause::Protocol),
+            0,
+            "every redial was adopted by its suspended feed"
         );
     } else {
         assert!(
@@ -409,8 +409,7 @@ fn drive_recheck_rounds(server: &ReactorServer, feeds: usize) {
             .wait_for_recheck_reports(feeds, FLEET_WAIT)
             .expect("round reports");
         assert_eq!(ready, feeds, "round {round}: every standing feed answers");
-        let ids = server.recheck_session_ids();
-        let hub: std::sync::Arc<[f64]> = hub_recording_sharded(server.service(), &ids).into();
+        let hub: std::sync::Arc<[f64]> = hub_recording_reactor(server).into();
         let decided = server.recheck_scan_and_decide_arc(hub, 16_384);
         assert_eq!(decided, feeds, "round {round}: every re-check decides");
         println!("  round {round}: {decided}/{feeds} standing sessions re-verified");

@@ -2,7 +2,7 @@
 //! change *what* the fleet decides, only *how* the bytes got there.
 //!
 //! * **Survivable schedules** (short reads/writes, latency, mid-stream
-//!   disconnects with resume enabled) on a four-shard gateway yield
+//!   disconnects with resume enabled) yield
 //!   decisions byte-identical to direct `AuthService` ingestion — the
 //!   resume protocol replays exactly the samples the gateway never
 //!   accepted.
@@ -20,8 +20,9 @@
 //!   latency chaos alone (no cuts) never changes decisions against
 //!   direct `AuthService` ingestion.
 //!
-//! The first three scenarios live in `tests/support`, shared with the
-//! single-shard runs in `tests/reactor_conformance.rs`.
+//! The first three scenarios live in `tests/support`, shared with
+//! `tests/reactor_conformance.rs`, which runs them under another seed
+//! (and the shedding scenario with one admission slot).
 
 mod support;
 
@@ -44,17 +45,17 @@ use support::{
 const SEED: u64 = 0xFA17;
 
 fn fresh_server() -> ReactorServer {
-    reactor_server(SEED, 1, |_| {})
+    reactor_server(SEED, |_| {})
 }
 
 #[test]
 fn survivable_faults_yield_byte_identical_decisions() {
-    survivable_faults_match_direct(SEED, 4);
+    survivable_faults_match_direct(SEED);
 }
 
 #[test]
 fn stalled_feed_times_out_alone_within_the_deadline() {
-    stalled_feed_times_out_alone(SEED, 2);
+    stalled_feed_times_out_alone(SEED);
 }
 
 #[test]

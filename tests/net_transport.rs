@@ -3,12 +3,13 @@
 //!
 //! * Framed messages survive any segmentation of a real transport's byte
 //!   stream (threads, partial reads — not just the sans-IO reader).
-//! * **Server-loop conformance:** decisions for 100 concurrent feeds
-//!   ingested through the gateway — codec off on four shards, i16-delta
-//!   on one — are identical to feeding the same quantized recordings
-//!   into an `AuthService` directly (`tests/reactor_conformance.rs`
-//!   runs the other two pairings), and so is a small fleet under the
-//!   environment-selected codec.
+//! * **Long-lived server conformance:** 100 feeds served as three
+//!   epochs on one server, codecs alternating, decide exactly as three
+//!   direct-ingestion epochs on one `AuthService` with one continued
+//!   RNG, and each epoch leaves no session open
+//!   (`tests/reactor_conformance.rs` runs 100 feeds in one epoch per
+//!   codec); so does a small fleet under the environment-selected
+//!   codec.
 //! * A connection that loses framing, or ignores `Busy` past the hard
 //!   limit, is dropped alone: its cause is counted and every other feed
 //!   still decides exactly as direct `AuthService` ingestion does.
@@ -21,17 +22,19 @@ mod support;
 use std::thread::JoinHandle;
 
 use piano::core::wire::{FrameReader, Message, WireCodec};
-use piano::net::fixtures::{direct_decisions, feed_recording, hub_recording_reactor};
+use piano::net::fixtures::{
+    direct_decisions, direct_epoch_decisions, feed_recording, hub_recording_reactor,
+};
 use piano::net::transport::{memory_hub, memory_pair, tcp_loopback, Listener, Transport};
 use piano::net::{FeedHandle, ReactorServer};
 use piano::prelude::*;
 
-use support::{action_config, fleet_decisions, reactor_server};
+use support::{action_config, epoch_decisions, fleet_decisions, reactor_server};
 
 const SEED: u64 = 0xF1EE7;
 
 fn fresh_server(high_water: usize, drain_chunk: usize) -> ReactorServer {
-    reactor_server(SEED, 1, |cfg| {
+    reactor_server(SEED, |cfg| {
         cfg.high_water = high_water;
         cfg.drain_chunk = drain_chunk;
     })
@@ -113,19 +116,39 @@ fn fleet_runs_under_the_env_selected_codec() {
     // The CI matrix sets PIANO_WIRE_CODEC ∈ {off, i16-delta}; this fleet
     // negotiates whatever the environment selected, so the suite's wire
     // traffic genuinely differs between matrix entries.
-    let decisions = fleet_decisions(SEED, 3, WireCodec::from_env(), 1);
+    let decisions = fleet_decisions(SEED, 3, WireCodec::from_env());
     assert_eq!(decisions, direct_decisions(SEED, 3));
 }
 
 #[test]
 fn server_loop_decisions_match_direct_ingestion_for_100_feeds() {
-    const FEEDS: usize = 100;
-    let direct = direct_decisions(SEED, FEEDS);
-    assert!(direct.iter().all(AuthDecision::is_granted));
-    let raw = fleet_decisions(SEED, FEEDS, WireCodec::Raw, 4);
-    let compressed = fleet_decisions(SEED, FEEDS, WireCodec::I16Delta, 1);
-    assert_eq!(raw, direct, "codec-off four-shard gateway diverged");
-    assert_eq!(compressed, direct, "i16-delta gateway diverged from direct");
+    // 100 feeds as three epochs on one long-lived server.
+    const EPOCHS: [usize; 3] = [34, 33, 33];
+    let direct = direct_epoch_decisions(SEED, &EPOCHS);
+    assert!(direct.iter().flatten().all(AuthDecision::is_granted));
+    let server = reactor_server(SEED, |_| {});
+    let reactor = server.start();
+    for (epoch, (&feeds, direct)) in EPOCHS.iter().zip(&direct).enumerate() {
+        let codec = if epoch % 2 == 0 {
+            WireCodec::Raw
+        } else {
+            WireCodec::I16Delta
+        };
+        let decisions = epoch_decisions(&server, feeds, codec);
+        assert_eq!(&decisions, direct, "epoch {epoch} ({codec:?}) diverged");
+        assert_eq!(
+            server.service().session_count(),
+            0,
+            "epoch {epoch} left sessions open"
+        );
+    }
+    let stats = server.stats();
+    assert_eq!(stats.connections, 100);
+    assert_eq!(stats.connections_dropped, 0);
+    assert_eq!(stats.sessions_decided, 100);
+    assert_eq!(server.session_ids().len(), 100);
+    server.shutdown();
+    reactor.join().expect("reactor thread");
 }
 
 #[test]

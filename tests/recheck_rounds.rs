@@ -16,8 +16,10 @@
 //!   wire (and raw) byte counts agree with the clients'.
 //! * `end_standing` closes every parked connection; clients observe the
 //!   close as a transport error on their next re-challenge wait.
-//! * All of the above hold for a codec-off single-shard gateway and for
-//!   an i16-delta main stream on two shards.
+//! * All of the above hold for a codec-off main stream and for an
+//!   i16-delta one.
+//! * Every session closes once its verdict is written: after the last
+//!   round the service holds none.
 
 use std::time::Duration;
 
@@ -54,22 +56,21 @@ const FRAMES_PER_ANSWER: u64 = FEED_REC_LEN.div_ceil(RECHECK_CHUNK) as u64 + 1;
 /// `end_standing`.
 #[test]
 fn reactor_standing_feeds_survive_rechallenge_rounds() {
-    standing_rounds(1, WireCodec::Raw);
+    standing_rounds(WireCodec::Raw);
 }
 
-/// The same rounds behind an i16-delta main stream on two shards:
-/// re-check audio keeps its raw framing, and each round's per-round
-/// sessions open on, and are scanned from, their owning shards.
+/// The same rounds behind an i16-delta main stream: re-check audio
+/// keeps its raw framing.
 #[test]
 fn standing_feeds_survive_rechallenge_rounds() {
-    standing_rounds(2, WireCodec::I16Delta);
+    standing_rounds(WireCodec::I16Delta);
 }
 
-/// Runs `FEEDS` standing feeds negotiating `codec` on `shards` service
-/// shards through the main epoch and `ROUNDS` re-challenge rounds.
-fn standing_rounds(shards: usize, codec: WireCodec) {
+/// Runs `FEEDS` standing feeds negotiating `codec` through the main
+/// epoch and `ROUNDS` re-challenge rounds, each its own epoch.
+fn standing_rounds(codec: WireCodec) {
     let server = ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), shards),
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(SEED),
         ServerConfig {
             standing: true,
@@ -81,7 +82,7 @@ fn standing_rounds(shards: usize, codec: WireCodec) {
     let config = server
         .service()
         .with_default(|s| s.config().action.clone())
-        .expect("shard 0 exists");
+        .expect("the service exists");
 
     let mut handles = Vec::with_capacity(FEEDS);
     for _ in 0..FEEDS {
@@ -218,13 +219,13 @@ fn standing_rounds(shards: usize, codec: WireCodec) {
     }
 
     // Neither the denied round nor the clean standing teardown is a
-    // fault: no drop was counted, and no per-round session survived its
-    // round.
+    // fault: no drop was counted, and no session — first authentication
+    // or per-round — survived its verdict.
     assert_eq!(server.stats().connections_dropped, 0);
     assert_eq!(
         server.service().session_count(),
-        FEEDS,
-        "re-check sessions are closed after their rounds"
+        0,
+        "sessions are closed once their verdicts are written"
     );
     server.shutdown();
     reactor.join().expect("reactor thread");

@@ -2,7 +2,7 @@
 //! fresh [`ReactorServer`] over in-memory transports and checks its
 //! decisions against direct `AuthService` ingestion
 //! ([`direct_decisions`]) seeded the same way. The tests call them with
-//! different seeds, shard counts, codecs and admission limits.
+//! different seeds, codecs, epochs and admission limits.
 
 // Each test crate uses only some of these scenarios.
 #![allow(dead_code)]
@@ -20,18 +20,13 @@ use piano::net::transport::{memory_hub, Listener, MemoryListener, MemoryStream};
 use piano::net::{FeedHandle, ReactorServer, ResilientFeed, RetryPolicy, ServerConfig};
 use piano::prelude::*;
 
-/// A gateway over `shards` service shards at a 1.0 m threshold, its
-/// session randomness seeded with `seed`, with `tweak` applied to the
-/// default config.
-pub fn reactor_server(
-    seed: u64,
-    shards: usize,
-    tweak: impl FnOnce(&mut ServerConfig),
-) -> ReactorServer {
+/// A gateway at a 1.0 m threshold, its session randomness seeded with
+/// `seed`, with `tweak` applied to the default config.
+pub fn reactor_server(seed: u64, tweak: impl FnOnce(&mut ServerConfig)) -> ReactorServer {
     let mut cfg = ServerConfig::default();
     tweak(&mut cfg);
     ReactorServer::new(
-        ShardedAuthService::new(PianoConfig::with_threshold(1.0), shards),
+        ShardedAuthService::new(PianoConfig::with_threshold(1.0), 1),
         ChaCha8Rng::seed_from_u64(seed),
         cfg,
     )
@@ -41,7 +36,7 @@ pub fn action_config(server: &ReactorServer) -> ActionConfig {
     server
         .service()
         .with_default(|s| s.config().action.clone())
-        .expect("shard 0 exists")
+        .expect("the service exists")
 }
 
 /// Registers every accepted connection with the reactor until the hub
@@ -56,19 +51,48 @@ pub fn spawn_register_loop(server: &ReactorServer, mut listener: MemoryListener)
     });
 }
 
-/// Runs `feeds` concurrent clients through a fresh reactor over
-/// `shards` service shards with `codec`, returning decisions in
-/// handshake order.
-pub fn fleet_decisions(
-    seed: u64,
+/// Runs `feeds` concurrent clients through a fresh reactor with
+/// `codec`, returning decisions in handshake order.
+pub fn fleet_decisions(seed: u64, feeds: usize, codec: WireCodec) -> Vec<AuthDecision> {
+    let server = reactor_server(seed, |_| {});
+    let reactor = server.start();
+    let decisions = epoch_decisions(&server, feeds, codec);
+    assert_eq!(server.session_ids().len(), feeds);
+
+    let stats = server.stats();
+    assert_eq!(stats.connections, feeds as u64);
+    assert_eq!(stats.connections_dropped, 0);
+    assert_eq!(stats.sessions_decided, feeds as u64);
+    assert_eq!(stats.busy_replies, stats.credit_replies);
+    match codec {
+        WireCodec::Raw => assert_eq!(stats.wire_audio_bytes, stats.raw_audio_bytes),
+        WireCodec::I16Delta => assert!(
+            stats.compression_ratio() >= 3.5,
+            "fleet compression only {:.2}x",
+            stats.compression_ratio()
+        ),
+    }
+    assert!(
+        server.peak_conn_bytes() > 0,
+        "footprint accounting saw the fleet"
+    );
+
+    server.shutdown();
+    reactor.join().expect("reactor thread");
+    decisions
+}
+
+/// One authentication epoch of `feeds` concurrent clients with `codec`
+/// on a started `server`: sequential handshakes, concurrent streams, one
+/// hub scan. Returns decisions in handshake order, each checked against
+/// the outcome the reactor recorded for that feed's session.
+pub fn epoch_decisions(
+    server: &ReactorServer,
     feeds: usize,
     codec: WireCodec,
-    shards: usize,
 ) -> Vec<AuthDecision> {
-    let server = reactor_server(seed, shards, |_| {});
-    let reactor = server.start();
     let (connector, mut listener) = memory_hub();
-    let config = action_config(&server);
+    let config = action_config(server);
 
     // Handshakes run sequentially (`FeedHandle::connect` blocks on the
     // Accept) so session randomness binds to feed index exactly as in
@@ -97,7 +121,7 @@ pub fn fleet_decisions(
     assert_eq!(server.wait_for_reports(feeds), feeds, "every feed reports");
     // The zero-copy scan entry point: the reactor borrows this shared
     // recording instead of cloning the waveform into its inbox.
-    let hub: std::sync::Arc<[f64]> = hub_recording_reactor(&server).into();
+    let hub: std::sync::Arc<[f64]> = hub_recording_reactor(server).into();
     assert_eq!(
         server.scan_and_decide_arc(hub, 16_384),
         feeds,
@@ -109,45 +133,24 @@ pub fn fleet_decisions(
         .collect();
 
     // The verdict each client received is the one the reactor recorded
-    // for that feed's session.
+    // for that feed's session: the epoch's ids are the last `feeds`.
     let ids = server.session_ids();
-    assert_eq!(ids.len(), feeds);
+    assert!(ids.len() >= feeds);
     let outcomes = server.outcomes();
-    for (id, decision) in ids.iter().zip(&decisions) {
+    for (id, decision) in ids[ids.len() - feeds..].iter().zip(&decisions) {
         let recorded = outcomes.iter().find(|(oid, _)| oid == id).map(|(_, d)| d);
         assert_eq!(recorded, Some(decision), "outcome mismatch for {id:?}");
     }
-
-    let stats = server.stats();
-    assert_eq!(stats.connections, feeds as u64);
-    assert_eq!(stats.connections_dropped, 0);
-    assert_eq!(stats.sessions_decided, feeds as u64);
-    assert_eq!(stats.busy_replies, stats.credit_replies);
-    match codec {
-        WireCodec::Raw => assert_eq!(stats.wire_audio_bytes, stats.raw_audio_bytes),
-        WireCodec::I16Delta => assert!(
-            stats.compression_ratio() >= 3.5,
-            "fleet compression only {:.2}x",
-            stats.compression_ratio()
-        ),
-    }
-    assert!(
-        server.peak_conn_bytes() > 0,
-        "footprint accounting saw the fleet"
-    );
-
-    server.shutdown();
-    reactor.join().expect("reactor thread");
     decisions
 }
 
 /// Four feeds resume through the reactor's suspension registry after
 /// scripted cuts, and still decide byte for byte as direct ingestion.
-pub fn survivable_faults_match_direct(seed: u64, shards: usize) {
+pub fn survivable_faults_match_direct(seed: u64) {
     const FEEDS: usize = 4;
     let baseline = direct_decisions(seed, FEEDS);
 
-    let server = reactor_server(seed, shards, |cfg| {
+    let server = reactor_server(seed, |cfg| {
         cfg.resume_window = Duration::from_secs(10);
     });
     let reactor = server.start();
@@ -259,11 +262,11 @@ pub fn survivable_faults_match_direct(seed: u64, shards: usize) {
 /// A feed that goes silent mid-stream is dropped under
 /// `DropCause::Timeout` within its idle deadline, while three healthy
 /// feeds still decide as direct ingestion.
-pub fn stalled_feed_times_out_alone(seed: u64, shards: usize) {
+pub fn stalled_feed_times_out_alone(seed: u64) {
     const GOOD: usize = 3;
     let baseline = direct_decisions(seed, GOOD);
 
-    let server = reactor_server(seed, shards, |cfg| {
+    let server = reactor_server(seed, |cfg| {
         cfg.idle_timeout = Duration::from_millis(200);
     });
     let reactor = server.start();
@@ -324,7 +327,7 @@ pub fn stalled_feed_times_out_alone(seed: u64, shards: usize) {
 /// are admitted as slots free up at report time, and every feed grants.
 pub fn shedding_recovers(seed: u64, slots: usize, feeds: usize) {
     assert!(feeds > slots, "some feeds must queue behind the slots");
-    let server = reactor_server(seed, 1, |cfg| {
+    let server = reactor_server(seed, |cfg| {
         cfg.max_active_feeds = slots;
         cfg.retry_after_ms = 10;
     });
